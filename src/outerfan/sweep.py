@@ -16,8 +16,8 @@ from itertools import combinations
 from typing import Iterator
 
 from . import oracle, spqr
-from .circular import EdgeClass, classify_edge, drawing_key
-from .graph import Edge, Graph, build_graph, is_biconnected
+from .circular import EdgeClass, check_outer_fan_planar, classify_edge, drawing_key
+from .graph import Edge, Graph, build_graph, is_biconnected, norm_edge
 from .recognizer import RecognitionOutcome, recognize
 
 
@@ -42,6 +42,42 @@ def sample_biconnected(n: int, rng: random.Random) -> Graph:
         g = build_graph(n, rng.sample(pairs, m))
         if is_biconnected(g):
             return g
+
+
+def grown_graph(n: int, rng: random.Random) -> Graph:
+    """A 3-connected graph with 3n - 6 edges, grown by inverse peel.
+
+    Start from a triangle drawn on a circle.  Each new vertex is joined to
+    three pairwise-adjacent vertices that are consecutive on the circle and
+    placed next to the middle one; a placement is kept only if the drawing
+    passes the reference fan-planarity check.  Labels are shuffled at the
+    end.  For n = 4 and n >= 6 the result is maximal outer-fan-planar, a
+    known-accepted family beyond the oracle's range (the tests check it
+    against the oracle at small n).  At n = 5 it is K5 minus an edge, which
+    is not maximal.
+    """
+    if n < 3:
+        raise ValueError("grown graphs need n >= 3")
+    order = [0, 1, 2]
+    edges = {(0, 1), (0, 2), (1, 2)}
+    for v in range(3, n):
+        s = len(order)
+        slots = [(i, side) for i in range(s) for side in (0, 1)]
+        rng.shuffle(slots)
+        for i, side in slots:
+            x, y, z = order[i - 1], order[i], order[(i + 1) % s]
+            if not {norm_edge(x, y), norm_edge(y, z), norm_edge(x, z)} <= edges:
+                continue
+            cand = order[: i + side] + [v] + order[i + side :]
+            grown = edges | {norm_edge(v, x), norm_edge(v, y), norm_edge(v, z)}
+            if check_outer_fan_planar(build_graph(v + 1, grown), tuple(cand)).verdict:
+                order, edges = cand, grown
+                break
+        else:
+            raise RuntimeError(f"no fan-planar slot for vertex {v}")
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return build_graph(n, [(perm[u], perm[v]) for u, v in edges])
 
 
 @dataclass

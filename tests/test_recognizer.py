@@ -1,10 +1,12 @@
+import ast
 import random
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
-from outerfan import oracle
-from outerfan.circular import EdgeClass, classify_edge
+from outerfan import oracle, recognizer
+from outerfan.circular import EdgeClass, check_outer_fan_planar, classify_edge
 from outerfan.errors import StructuralError
 from outerfan.graph import (
     add_edge,
@@ -19,12 +21,15 @@ from outerfan.graph import (
 )
 from outerfan.recognizer import (
     Verdict,
+    _recognize_3connected_raw,
+    _slot_is_fan_planar,
     is_complete_2hop,
     is_porous,
     recognize,
     recognize_3connected,
     recognize_biconnected,
 )
+from outerfan.sweep import all_graphs, grown_graph, sample_biconnected
 
 
 def remark6_graph():
@@ -265,8 +270,6 @@ class TestEquivalenceMiniSweeps:
                     assert out.embeddings == oracle.enumerate_embeddings(g)
 
     def test_sampled_six_and_seven(self):
-        from outerfan.sweep import sample_biconnected
-
         rng = random.Random(42)
         for n, count in [(6, 250), (7, 120)]:
             for _ in range(count):
@@ -294,3 +297,101 @@ class TestOutcomeSerialization:
     def test_biconnected_entry_point_matches_dispatch(self):
         g = build_graph(4, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3)])
         assert recognize_biconnected(g).verdict == recognize(g).verdict
+
+
+class TestIncrementalSlotCheck:
+    """The per-slot check of the reinsertion against the reference checker.
+
+    Deleting a vertex from a fan-planar order leaves a fan-planar order of
+    the graph without it, which is the incremental check's precondition; the
+    vertex is then put back at every position of that order."""
+
+    @staticmethod
+    def _compare_every_slot(g, order, verdicts):
+        assert check_outer_fan_planar(g, order).verdict
+        for v in range(g.n):
+            rest = tuple(x for x in order if x != v)
+            for k in range(len(rest)):
+                cand = rest[:k] + (v,) + rest[k:]
+                expected = check_outer_fan_planar(g, cand).verdict
+                assert _slot_is_fan_planar(g.adj, cand, v) == expected, (
+                    g.edge_list(), cand, v,
+                )
+                verdicts[expected] += 1
+
+    def test_grown_graphs(self):
+        rng = random.Random(7)
+        verdicts = {True: 0, False: 0}
+        for n in (6, 9, 14, 20):
+            for _ in range(3):
+                g = grown_graph(n, rng)
+                self._compare_every_slot(g, recognize(g).embeddings[0], verdicts)
+        assert verdicts[True] > 0 and verdicts[False] > 0
+
+    def test_random_biconnected_graphs(self):
+        rng = random.Random(11)
+        verdicts = {True: 0, False: 0}
+        for n in (5, 6, 7, 8):
+            for _ in range(25):
+                g = sample_biconnected(n, rng)
+                order = oracle.outer_fan_planar_order(g)
+                if order is not None:
+                    self._compare_every_slot(g, order, verdicts)
+        assert verdicts[True] > 0 and verdicts[False] > 0
+
+
+def test_small_triconnected_base_case_matches_oracle():
+    # a 3-connected graph on four or five vertices is maximal iff complete;
+    # its raw drawing set (what a rigid SPQR skeleton receives) must be the
+    # oracle's full list of valid canonical orders
+    counts = {4: 0, 5: 0}
+    for n in counts:
+        for g in all_graphs(n):
+            if not is_triconnected(g):
+                continue
+            counts[n] += 1
+            maximal = oracle.is_maximal_outer_fan_planar(g)
+            assert maximal == (g.m == n * (n - 1) // 2)
+            out = recognize(g)
+            assert out.accepted == maximal and out.path == "base"
+            raw = _recognize_3connected_raw(g, frozenset())
+            if maximal:
+                assert tuple(raw.orders) == oracle.enumerate_embeddings_raw(g)
+                assert out.embeddings == oracle.enumerate_embeddings(g)
+            else:
+                assert raw.orders == [] and out.embeddings == ()
+    assert counts == {4: 1, 5: 26}
+
+
+def test_recognizer_does_not_import_oracle():
+    tree = ast.parse(Path(recognizer.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+            imported.update(
+                f"{node.module or ''}.{alias.name}" for alias in node.names
+            )
+    assert not any(name.split(".")[-1] == "oracle" for name in imported), imported
+
+
+class TestGrownFamily:
+    def test_small_grown_graphs_are_maximal(self):
+        rng = random.Random(5)
+        for n in (4, 6, 7, 8):
+            for _ in range(4):
+                g = grown_graph(n, rng)
+                assert oracle.is_maximal_outer_fan_planar(g), g.edge_list()
+
+    def test_grown_graphs_at_64_accepted_on_peel_path(self):
+        rng = random.Random(64)
+        for _ in range(2):
+            g = grown_graph(64, rng)
+            assert g.m == 3 * g.n - 6
+            out = recognize(g)
+            assert out.accepted and out.path == "peel"
+            assert out.embeddings
+            for order in out.embeddings:
+                assert check_outer_fan_planar(g, order).verdict
