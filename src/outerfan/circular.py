@@ -130,18 +130,29 @@ def check_outer_fan_planar(g: Graph, order: CircularOrder) -> CrossingReport:
 
 
 def canonicalize(order: CircularOrder) -> CircularOrder:
-    """Lexicographically least sequence among all rotations and reflections."""
-    n = len(order)
-    if n == 0:
+    """Lexicographically least sequence among all rotations and reflections.
+
+    With distinct vertices that sequence starts at the least vertex, so only
+    the two directions from it are compared.
+    """
+    if not order:
         return ()
-    seqs = [order, tuple(reversed(order))]
-    best = None
-    for seq in seqs:
-        for r in range(n):
-            cand = seq[r:] + seq[:r]
-            if best is None or cand < best:
-                best = cand
-    return best
+    i = order.index(min(order))
+    forward = order[i:] + order[:i]
+    backward = forward[:1] + forward[:0:-1]
+    return min(forward, backward)
+
+
+def consecutive_run(order: CircularOrder, vs: set[int]) -> int | None:
+    """Start position of a run of cyclically consecutive positions holding
+    exactly ``vs``, else None."""
+    n = len(order)
+    pos = positions(order)
+    ps = {pos[v] for v in vs}
+    for r in range(n):
+        if {(r + k) % n for k in range(len(vs))} == ps:
+            return r
+    return None
 
 
 def drawing_key(g: Graph, order: CircularOrder) -> tuple[Edge, ...]:

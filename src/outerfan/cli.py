@@ -25,16 +25,23 @@ EXIT_INPUT_ERROR = 2
 EXIT_ORACLE_DISAGREEMENT = 3
 
 
+def _ints(text: str, sep: str, what: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(x) for x in text.split(sep))
+    except ValueError:
+        raise GraphInputError(f"bad {what} {text!r}, expected integers") from None
+
+
 def _parse_edge_flag(text: str) -> frozenset[tuple[int, int]]:
     edges = set()
     for token in text.replace(";", ",").split(","):
         token = token.strip()
         if not token:
             continue
-        parts = token.split("-")
+        parts = _ints(token, "-", "edge token")
         if len(parts) != 2:
             raise GraphInputError(f"bad edge token {token!r}, expected 'u-v'")
-        edges.add(norm_edge(int(parts[0]), int(parts[1])))
+        edges.add(norm_edge(*parts))
     return frozenset(edges)
 
 
@@ -92,13 +99,13 @@ def _parse_triples(text: str) -> list[tuple[int, int, int]]:
         group = group.strip()
         if not group:
             continue
-        members = tuple(int(x) for x in group.split(","))
+        members = _ints(group, ",", "triple")
         triples.append(members)
     return triples
 
 
 def cmd_gen_3p(args) -> int:
-    values = tuple(int(x) for x in args.values.split(","))
+    values = _ints(args.values, ",", "value list")
     tp = reduction.ThreePartitionInstance(args.groups, values, args.target)
     inst = reduction.generate_instance(tp)
     reduction.save_instance(inst, args.output)

@@ -1,10 +1,13 @@
 """Simple undirected graphs over dense integer vertex ids.
 
 Graphs are immutable values; derived graphs (vertex deletion, edge addition)
-are new values.  The connectivity predicates are deliberately brute force:
-we delete vertices or vertex pairs and re-check connectivity, which is
-obviously correct and more than fast enough at the sizes this package works
-with (recognition inputs are small, and fan-planar graphs are sparse anyway).
+are new values.  Every connectivity predicate rests on one component search
+(``_reach``) and one separating-pair search
+(:func:`iter_separation_pairs`), which deletes each vertex pair in
+lexicographic order and re-checks connectivity, yielding lazily so that a
+caller needing only the first pair stops there.  That is O(n^2 (n + m))
+when no pair separates, obviously correct, and fast enough at the sizes this
+package works with (fan-planar graphs are sparse).
 
 The on-disk format for graphs is a plain edge list: a header line ``n m``
 followed by ``m`` lines ``u v`` with 0-based ids.  ``#`` starts a comment.
@@ -15,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import GraphInputError, StructuralError
 
@@ -104,41 +107,69 @@ def remove_vertex(g: Graph, v: int) -> Graph:
     """Delete ``v`` and compact the remaining ids, preserving their order."""
     if not (0 <= v < g.n):
         raise GraphInputError(f"vertex id out of range: {v}")
-    relabel = {}
-    nxt = 0
-    for w in range(g.n):
-        if w != v:
-            relabel[w] = nxt
-            nxt += 1
-    edges = [(relabel[a], relabel[b]) for a, b in g.edges if v not in (a, b)]
-    return build_graph(g.n - 1, edges)
+    keep = [w for w in range(g.n) if w != v]
+    return dense_graph(keep, [e for e in g.edges if v not in e])[0]
 
 
-def induced_subgraph(g: Graph, keep: Iterable[int]) -> tuple[Graph, list[int]]:
-    """Induced subgraph on ``keep``; returns it with the new-to-old id map."""
-    old_ids = sorted(set(keep))
-    relabel = {old: new for new, old in enumerate(old_ids)}
-    edges = [
-        (relabel[a], relabel[b])
-        for a, b in g.edges
-        if a in relabel and b in relabel
-    ]
-    return build_graph(len(old_ids), edges), old_ids
+def dense_graph(
+    vertices: Iterable[int], edges: Iterable[tuple[int, int]]
+) -> tuple[Graph, dict[int, int]]:
+    """The graph of ``edges`` on ``vertices``, relabeled to ids ``0..k-1`` in
+    increasing order of the old ids.
+
+    Returns it with the old-to-new id map, whose keys run in increasing order,
+    so ``list(relabel)`` is the new-to-old map.
+    """
+    relabel = {old: new for new, old in enumerate(sorted(set(vertices)))}
+    return build_graph(len(relabel), [(relabel[a], relabel[b]) for a, b in edges]), relabel
+
+
+def _reach(
+    adj: Mapping[int, Iterable[int]] | Sequence[Iterable[int]], start: int, seen: set[int]
+) -> list[int]:
+    """Vertices reachable from ``start`` without entering ``seen``, in visiting
+    order; they are added to ``seen``."""
+    found = [start]
+    seen.add(start)
+    for x in found:
+        for y in adj[x]:
+            if y not in seen:
+                seen.add(y)
+                found.append(y)
+    return found
+
+
+def components(
+    adj: Mapping[int, Iterable[int]], removed: Iterable[int] = ()
+) -> list[set[int]]:
+    """Connected components of the graph ``adj`` (vertex to neighbors) with
+    ``removed`` deleted, ordered by their least vertex."""
+    seen = set(removed)
+    return [set(_reach(adj, x, seen)) for x in sorted(adj) if x not in seen]
+
+
+def iter_separation_pairs(adj: Mapping[int, Iterable[int]]) -> Iterator[tuple[int, int]]:
+    """Lazily yield, in lexicographic order, every vertex pair whose removal
+    disconnects the connected graph ``adj`` (vertex to neighbors) on at
+    least three vertices."""
+    vs = sorted(adj)
+    n = len(vs)
+    for i, u in enumerate(vs):
+        for v in vs[i + 1 :]:
+            seen = {u, v}
+            # any vertex outside the pair starts the search
+            start = vs[0] if i else (vs[2] if v == vs[1] else vs[1])
+            _reach(adj, start, seen)
+            if len(seen) < n:
+                yield (u, v)
 
 
 def _connected_without(g: Graph, removed: frozenset[int]) -> bool:
-    remaining = [v for v in range(g.n) if v not in removed]
-    if not remaining:
-        return True
-    seen = {remaining[0]}
-    stack = [remaining[0]]
-    while stack:
-        x = stack.pop()
-        for y in g.adj[x]:
-            if y not in removed and y not in seen:
-                seen.add(y)
-                stack.append(y)
-    return len(seen) == len(remaining)
+    seen = set(removed)
+    start = next((v for v in range(g.n) if v not in seen), None)
+    if start is not None:
+        _reach(g.adj, start, seen)
+    return len(seen) == g.n
 
 
 def is_connected(g: Graph) -> bool:
@@ -168,14 +199,10 @@ class SeparationPair:
 
 
 def separation_pairs(g: Graph) -> list[SeparationPair]:
-    """All separation pairs, found by exhaustive pair removal."""
+    """All separation pairs, in lexicographic order."""
     if g.n < 4 or not is_connected(g):
         return []
-    return [
-        SeparationPair(u, v)
-        for u, v in combinations(range(g.n), 2)
-        if not _connected_without(g, frozenset({u, v}))
-    ]
+    return [SeparationPair(u, v) for u, v in iter_separation_pairs(dict(enumerate(g.adj)))]
 
 
 def is_triconnected(g: Graph) -> bool:
@@ -184,7 +211,7 @@ def is_triconnected(g: Graph) -> bool:
         return False
     if not is_biconnected(g):
         return False
-    return not separation_pairs(g)
+    return next(iter_separation_pairs(dict(enumerate(g.adj))), None) is None
 
 
 def degree3_k4_vertices(g: Graph) -> list[tuple[int, tuple[int, int, int]]]:
@@ -262,7 +289,3 @@ def format_edge_list(g: Graph) -> str:
     lines = [f"{g.n} {g.m}"]
     lines += [f"{u} {v}" for u, v in g.edge_list()]
     return "\n".join(lines) + "\n"
-
-
-def save_graph(g: Graph, path: str | Path) -> None:
-    Path(path).write_text(format_edge_list(g), encoding="utf-8")

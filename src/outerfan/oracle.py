@@ -43,15 +43,6 @@ def candidate_orders(n: int) -> Iterator[CircularOrder]:
             yield (0, *perm)
 
 
-def candidate_count(n: int) -> int:
-    if n <= 2:
-        return 1
-    c = 1
-    for k in range(2, n):
-        c *= k
-    return c // 2
-
-
 # ---------------------------------------------------------------------------
 # Bitmask tables, shared by the python and numpy scan paths
 # ---------------------------------------------------------------------------

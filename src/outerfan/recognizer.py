@@ -38,6 +38,7 @@ from .circular import (
     canonicalize,
     check_outer_fan_planar,
     classify_edge,
+    consecutive_run,
     drawing_key,
 )
 from .errors import StructuralError
@@ -45,6 +46,7 @@ from .graph import (
     Edge,
     Graph,
     build_graph,
+    dense_graph,
     is_biconnected,
     is_triconnected,
     norm_edge,
@@ -220,25 +222,6 @@ def is_complete_2hop(g: Graph) -> CompleteTwoHop | None:
 # ---------------------------------------------------------------------------
 
 
-def _nbrs_consecutive(order: CircularOrder, nbrs: tuple[int, int, int]):
-    """If the three neighbors occupy consecutive positions, return the run
-    as (end, middle, end); otherwise None."""
-    s = len(order)
-    pos = {v: i for i, v in enumerate(order)}
-    ps = sorted(pos[v] for v in nbrs)
-    runs = []
-    if s == 3:
-        return (order[0], order[1], order[2])
-    for r in range(s):
-        if {(r) % s, (r + 1) % s, (r + 2) % s} == set(ps):
-            runs.append(r)
-            break
-    if not runs:
-        return None
-    r = runs[0]
-    return (order[r % s], order[(r + 1) % s], order[(r + 2) % s])
-
-
 def _insert_between(order: CircularOrder, v: int, a: int, b: int) -> CircularOrder:
     """Insert v into the slot between adjacent positions of a and b."""
     s = len(order)
@@ -251,15 +234,6 @@ def _insert_between(order: CircularOrder, v: int, a: int, b: int) -> CircularOrd
     else:
         raise StructuralError(f"{a} and {b} are not adjacent in {order}")
     return order[:k] + (v,) + order[k:]
-
-
-def _partial_graph(adj: dict[int, set[int]]) -> tuple[Graph, dict[int, int]]:
-    old_ids = sorted(adj)
-    relabel = {old: new for new, old in enumerate(old_ids)}
-    edges = [
-        (relabel[u], relabel[v]) for u in adj for v in adj[u] if u < v
-    ]
-    return build_graph(len(old_ids), edges), relabel
 
 
 def _slot_is_fan_planar(adj, order: CircularOrder, v: int) -> bool:
@@ -384,10 +358,10 @@ def _peel_and_reinsert(g: Graph, outer_required: frozenset[Edge], raw: _RawResul
         active_marks = [e for e in marks if e[0] in present and e[1] in present]
         new_live: set[CircularOrder] = set()
         for order in live:
-            run = _nbrs_consecutive(order, rec.neighbors)
-            if run is None:
+            r = consecutive_run(order, set(rec.neighbors))
+            if r is None:
                 continue
-            e1, mid, e2 = run
+            e1, mid, e2 = (order[(r + k) % len(order)] for k in range(3))
             slots = [(e1, mid), (mid, e2)]
             if len(order) == 3:
                 slots.append((e2, e1))
@@ -406,7 +380,9 @@ def _peel_and_reinsert(g: Graph, outer_required: frozenset[Edge], raw: _RawResul
         # as several labeled orders when the graph has automorphisms
         drawings = len(live)
         if drawings > 1:
-            partial, relabel = _partial_graph(adj)
+            partial, relabel = dense_graph(
+                adj, [(u, w) for u in adj for w in adj[u] if u < w]
+            )
             drawings = len({
                 drawing_key(partial, tuple(relabel[x] for x in o)) for o in live
             })
@@ -581,21 +557,15 @@ class _SkelView:
 
 
 def _skeleton_view(node: spqr.SpqrNode) -> _SkelView:
-    old_ids = sorted(node.vertices)
-    relabel = {old: new for new, old in enumerate(old_ids)}
-    virt = set()
-    real = set()
-    simple_edges = set()
-    for e in node.edges:
-        d = norm_edge(relabel[e.u], relabel[e.v])
-        simple_edges.add(d)
-        if e.kind == "virtual":
-            virt.add(d)
-        else:
-            real.add(d)
-    g = build_graph(len(old_ids), sorted(simple_edges))
+    graph, relabel = dense_graph(node.vertices, [e.pair() for e in node.edges])
+
+    def dense(kind: str) -> frozenset[Edge]:
+        return frozenset(
+            norm_edge(relabel[e.u], relabel[e.v]) for e in node.edges if e.kind == kind
+        )
+
     return _SkelView(
-        node.id, node.kind, g, old_ids, frozenset(virt), frozenset(real)
+        node.id, node.kind, graph, list(relabel), dense("virtual"), dense("real")
     )
 
 
@@ -623,7 +593,7 @@ def _p_node_violation(g1: _SkelView, g2: _SkelView, s_t: Edge) -> str | None:
         if hit:
             return f"pole edge porous around pole {s_t[pole_idx]} on both sides"
 
-    def side_flag(view: _SkelView, pole_edge: Edge, s_d: int, t_d: int, at_s: bool) -> bool:
+    def side_flag(view: _SkelView, s_d: int, t_d: int, at_s: bool) -> bool:
         """Real outer edge next to a pole, porous around that pole, in some
         drawing of the side."""
         around = s_d if at_s else t_d
@@ -639,22 +609,18 @@ def _p_node_violation(g1: _SkelView, g2: _SkelView, s_t: Edge) -> str | None:
                 return True
         return False
 
-    (v1, pe1, s1d, t1d), (v2, pe2, s2d, t2d) = sides
+    (v1, _, s1d, t1d), (v2, _, s2d, t2d) = sides
     # (b) neighbor-of-s edge real and porous around s on side one, paired
     # with neighbor-of-t edge real and porous around t on side two
-    if side_flag(v1, pe1, s1d, t1d, at_s=True) and side_flag(v2, pe2, s2d, t2d, at_s=False):
+    if side_flag(v1, s1d, t1d, at_s=True) and side_flag(v2, s2d, t2d, at_s=False):
         return "real neighbor edges porous around the poles (s side one, t side two)"
     # (c) the mirrored pairing
-    if side_flag(v1, pe1, s1d, t1d, at_s=False) and side_flag(v2, pe2, s2d, t2d, at_s=True):
+    if side_flag(v1, s1d, t1d, at_s=False) and side_flag(v2, s2d, t2d, at_s=True):
         return "real neighbor edges porous around the poles (t side one, s side two)"
     return None
 
 
-def _assemble(
-    g: Graph,
-    tree: spqr.SpqrTree,
-    views: dict[int, _SkelView],
-) -> list[CircularOrder]:
+def _assemble(tree: spqr.SpqrTree, views: dict[int, _SkelView]) -> list[CircularOrder]:
     """Merge skeleton drawings at virtual edges into drawings of the graph.
 
     Each subtree hanging off a virtual edge {s, t} contributes linear
@@ -879,7 +845,7 @@ def recognize_biconnected(g: Graph) -> RecognitionOutcome:
                 f"parallel node {node.id}: edge addable across poles ({reason})",
             )
 
-    orders = _assemble(g, tree, views)
+    orders = _assemble(tree, views)
     orders = [o for o in orders if check_outer_fan_planar(g, o).verdict]
     if not orders:
         return reject(

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path as FsPath
 
@@ -637,31 +638,45 @@ def instance_to_json(inst: ReductionInstance) -> str:
     return json.dumps(payload, indent=1, sort_keys=True)
 
 
+@contextmanager
+def _malformed(what: str):
+    """Report a JSON payload of the wrong shape as a GraphInputError."""
+    try:
+        yield
+    except GraphInputError:
+        raise
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise GraphInputError(
+            f"malformed {what} JSON: {type(exc).__name__}: {exc}"
+        ) from None
+
+
 def instance_from_json(text: str) -> ReductionInstance:
-    payload = json.loads(text)
-    graph = build_graph(payload["n"], [tuple(e) for e in payload["edges"]])
-    roles = payload["roles"]
-    gadgets = {
-        name: GadgetInfo(name, tuple(cyc)) for name, cyc in roles["gadgets"].items()
-    }
-    cells = {}
-    for key, verts in roles["cells"].items():
-        i, j = key.split(",")
-        cells[(int(i), int(j))] = tuple(_parse_edge_key(e) for e in verts)
-    return ReductionInstance(
-        graph=graph,
-        rotation=tuple(
-            tuple(payload["rotation"][str(v)]) for v in range(payload["n"])
-        ),
-        params=payload["params"],
-        vertex_roles={int(v): r for v, r in roles["vertices"].items()},
-        edge_roles={_parse_edge_key(k): r for k, r in roles["edges"].items()},
-        gadgets=gadgets,
-        cells=cells,
-        paths=[tuple(p) for p in roles["paths"]],
-        u=roles["u"],
-        v=roles["v"],
-    )
+    with _malformed("instance"):
+        payload = json.loads(text)
+        graph = build_graph(payload["n"], [tuple(e) for e in payload["edges"]])
+        roles = payload["roles"]
+        gadgets = {
+            name: GadgetInfo(name, tuple(cyc)) for name, cyc in roles["gadgets"].items()
+        }
+        cells = {}
+        for key, verts in roles["cells"].items():
+            i, j = key.split(",")
+            cells[(int(i), int(j))] = tuple(_parse_edge_key(e) for e in verts)
+        return ReductionInstance(
+            graph=graph,
+            rotation=tuple(
+                tuple(payload["rotation"][str(v)]) for v in range(payload["n"])
+            ),
+            params=payload["params"],
+            vertex_roles={int(v): r for v, r in roles["vertices"].items()},
+            edge_roles={_parse_edge_key(k): r for k, r in roles["edges"].items()},
+            gadgets=gadgets,
+            cells=cells,
+            paths=[tuple(p) for p in roles["paths"]],
+            u=roles["u"],
+            v=roles["v"],
+        )
 
 
 def witness_to_json(w: WitnessDrawing) -> str:
@@ -674,13 +689,14 @@ def witness_to_json(w: WitnessDrawing) -> str:
 
 
 def witness_from_json(text: str) -> WitnessDrawing:
-    payload = json.loads(text)
-    return WitnessDrawing(
-        {
-            _parse_edge_key(k): tuple(_parse_edge_key(f) for f in lst)
-            for k, lst in payload.items()
-        }
-    )
+    with _malformed("witness"):
+        payload = json.loads(text)
+        return WitnessDrawing(
+            {
+                _parse_edge_key(k): tuple(_parse_edge_key(f) for f in lst)
+                for k, lst in payload.items()
+            }
+        )
 
 
 def load_instance(path: str | FsPath) -> ReductionInstance:

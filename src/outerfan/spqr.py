@@ -5,8 +5,11 @@ multigraph: each split replaces the pair's edge classes by virtual edges and
 recurses, and adjacent series-series or parallel-parallel components are
 contracted afterwards.  That fixpoint is the classical unique decomposition
 into series (cycle), parallel (edge bundle) and rigid (3-connected) nodes.
-Brute-force pair search keeps the construction small and auditable; inputs
-here are desk scale.
+Each split decides its skeleton's kind once, from one call of the package's
+shared, early-exit separating-pair search
+(:func:`outerfan.graph.iter_separation_pairs`): a component with no split
+pair is rigid.  The search is quadratic in the vertex count per component,
+which keeps the construction small and auditable at desk scale.
 
 Representation choice: real edges live inside the S/P/R skeletons they
 belong to.  A parallel node's real edge additionally gets an explicit
@@ -18,10 +21,19 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import combinations
 
 from .errors import StructuralError
-from .graph import Edge, Graph, build_graph, is_triconnected, norm_edge, require_biconnected
+from .graph import (
+    Edge,
+    Graph,
+    build_graph,
+    components,
+    dense_graph,
+    is_triconnected,
+    iter_separation_pairs,
+    norm_edge,
+    require_biconnected,
+)
 
 
 @dataclass(frozen=True)
@@ -84,45 +96,21 @@ def _vertices(edges: list[_MEdge]) -> set[int]:
     return vs
 
 
-def _components_without(edges: list[_MEdge], vs: set[int], u: int, v: int) -> list[set[int]]:
-    rest = vs - {u, v}
-    adj: dict[int, set[int]] = {x: set() for x in rest}
+def _adjacency(edges: list[_MEdge]) -> dict[int, set[int]]:
+    adj: dict[int, set[int]] = {}
     for e in edges:
-        if e.u in adj and e.v in adj:
-            adj[e.u].add(e.v)
-            adj[e.v].add(e.u)
-    comps = []
-    seen: set[int] = set()
-    for start in sorted(rest):
-        if start in seen:
-            continue
-        comp = {start}
-        stack = [start]
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if y not in comp:
-                    comp.add(y)
-                    stack.append(y)
-        seen |= comp
-        comps.append(comp)
-    return comps
+        adj.setdefault(e.u, set()).add(e.v)
+        adj.setdefault(e.v, set()).add(e.u)
+    return adj
 
 
-def _is_cycle(edges: list[_MEdge], vs: set[int]) -> bool:
-    if len(vs) < 3 or len(edges) != len(vs):
-        return False
-    deg: dict[int, int] = {x: 0 for x in vs}
-    pairs = set()
-    for e in edges:
-        deg[e.u] += 1
-        deg[e.v] += 1
-        if e.pair() in pairs:
-            return False
-        pairs.add(e.pair())
-    if any(d != 2 for d in deg.values()):
-        return False
-    return len(_components_without(edges, vs | {-1, -2}, -1, -2)) == 1
+def _is_cycle(edges: list[_MEdge], adj: dict[int, set[int]]) -> bool:
+    # with as many edges as vertices, all simple degrees 2 rules out parallels
+    return (
+        len(edges) == len(adj) >= 3
+        and all(len(nbrs) == 2 for nbrs in adj.values())
+        and len(components(adj)) == 1
+    )
 
 
 def _has_parallel(edges: list[_MEdge]) -> Edge | None:
@@ -135,28 +123,15 @@ def _has_parallel(edges: list[_MEdge]) -> Edge | None:
     return None
 
 
-def _is_rigid(edges: list[_MEdge], vs: set[int]) -> bool:
-    if _has_parallel(edges) is not None or len(vs) < 4:
-        return False
-    relabel = {old: new for new, old in enumerate(sorted(vs))}
-    g = build_graph(len(vs), [(relabel[e.u], relabel[e.v]) for e in edges])
-    return is_triconnected(g)
-
-
-def _find_split_pair(edges: list[_MEdge], vs: set[int]) -> tuple[int, int] | None:
-    par = _has_parallel(edges)
-    candidates = []
-    if par is not None:
-        candidates.append(par)
-    for u, v in combinations(sorted(vs), 2):
-        if len(_components_without(edges, vs, u, v)) >= 2:
-            candidates.append((u, v))
-    return min(candidates) if candidates else None
+def _find_split_pair(edges: list[_MEdge], adj: dict[int, set[int]]) -> Edge | None:
+    """The least of the least parallel pair and the first separating pair."""
+    found = [_has_parallel(edges), next(iter_separation_pairs(adj), None)]
+    return min((p for p in found if p is not None), default=None)
 
 
 class _Decomposition:
     def __init__(self) -> None:
-        self.skeletons: list[list[_MEdge]] = []
+        self.skeletons: list[tuple[str, list[_MEdge]]] = []
         self.next_link = 0
 
     def new_link(self) -> int:
@@ -164,24 +139,24 @@ class _Decomposition:
         return self.next_link - 1
 
     def split(self, edges: list[_MEdge]) -> None:
-        vs = _vertices(edges)
-        if len(vs) == 2:
-            self.skeletons.append(edges)  # bond
+        adj = _adjacency(edges)
+        if len(adj) == 2:
+            self.skeletons.append(("P", edges))  # bond
             return
-        if _is_cycle(edges, vs):
-            self.skeletons.append(edges)
+        if _is_cycle(edges, adj):
+            self.skeletons.append(("S", edges))
             return
-        if _is_rigid(edges, vs):
-            self.skeletons.append(edges)
-            return
-        pair = _find_split_pair(edges, vs)
+        pair = _find_split_pair(edges, adj)
         if pair is None:
-            raise StructuralError("no split pair in a non-atomic component")
+            if len(adj) < 4:
+                raise StructuralError("no split pair in a non-atomic component")
+            self.skeletons.append(("R", edges))
+            return
         u, v = pair
         singles = [e for e in edges if e.pair() == (u, v)]
-        comps = _components_without(edges, vs, u, v)
         classes: list[list[_MEdge]] = [
-            [e for e in edges if (e.u in comp or e.v in comp)] for comp in comps
+            [e for e in edges if (e.u in comp or e.v in comp)]
+            for comp in components(adj, (u, v))
         ]
         if len(singles) + len(classes) < 2:
             raise StructuralError("degenerate split")
@@ -197,26 +172,20 @@ class _Decomposition:
             link = self.new_link()
             central.append(_MEdge(u, v, "virtual", link))
             self.split(cls + [_MEdge(u, v, "virtual", link)])
-        self.skeletons.append(central)
+        self.skeletons.append(("P", central))
 
 
-def _kind_of(edges: list[_MEdge]) -> str:
-    vs = _vertices(edges)
-    if len(vs) == 2:
-        return "P"
-    if _is_cycle(edges, vs):
-        return "S"
-    return "R"
-
-
-def _merge_same_kind(skeletons: list[list[_MEdge]]) -> list[list[_MEdge]]:
-    """Contract series-series and parallel-parallel adjacencies."""
-    work = [list(s) for s in skeletons]
+def _merge_same_kind(
+    skeletons: list[tuple[str, list[_MEdge]]],
+) -> list[tuple[str, list[_MEdge]]]:
+    """Contract series-series and parallel-parallel adjacencies; a merged
+    skeleton keeps its kind (two cycles make a cycle, two bonds a bond)."""
+    work = [(kind, list(s)) for kind, s in skeletons]
     changed = True
     while changed:
         changed = False
         owners: dict[int, list[int]] = {}
-        for idx, skel in enumerate(work):
+        for idx, (_kind, skel) in enumerate(work):
             for e in skel:
                 if e.kind == "virtual":
                     owners.setdefault(e.link, []).append(idx)
@@ -226,12 +195,11 @@ def _merge_same_kind(skeletons: list[list[_MEdge]]) -> list[list[_MEdge]]:
             a, b = owner
             if a == b:
                 raise StructuralError(f"virtual pair {link} inside one node")
-            ka, kb = _kind_of(work[a]), _kind_of(work[b])
+            (ka, sa), (kb, sb) = work[a], work[b]
             if ka == kb and ka in ("S", "P"):
-                merged = [e for e in work[a] + work[b] if not (e.kind == "virtual" and e.link == link)]
-                work[a] = merged
-                work[b] = []
-                work = [s for s in work if s]
+                merged = [e for e in sa + sb if not (e.kind == "virtual" and e.link == link)]
+                work[a] = (ka, merged)
+                del work[b]
                 changed = True
                 break
     return work
@@ -242,12 +210,8 @@ def build_spqr(g: Graph) -> SpqrTree:
     require_biconnected(g)
     dec = _Decomposition()
     dec.split([_MEdge(u, v, "real", None) for u, v in g.edge_list()])
-    skeletons = _merge_same_kind(dec.skeletons)
-
     # materialize Q leaves for the real edge of each parallel skeleton
-    record: list[tuple[str, list[_MEdge]]] = [
-        (_kind_of(skel), skel) for skel in skeletons
-    ]
+    record = _merge_same_kind(dec.skeletons)
     q_nodes: list[tuple[str, list[_MEdge]]] = []
     next_link = dec.next_link
     for kind, skel in record:
@@ -444,16 +408,14 @@ def verify_tree(t: SpqrTree, g: Graph) -> list[str]:
             if len(set(pairs)) != len(pairs) or len(pairs) != len(vs):
                 issues.append(f"node {node.id}: S skeleton is not a simple cycle")
             else:
-                relabel = {old: new for new, old in enumerate(sorted(vs))}
-                sg = build_graph(len(vs), [(relabel[a], relabel[b]) for a, b in pairs])
+                sg = dense_graph(vs, pairs)[0]
                 if any(sg.degree(x) != 2 for x in range(sg.n)):
                     issues.append(f"node {node.id}: S skeleton is not a cycle")
         elif node.kind == "R":
-            relabel = {old: new for new, old in enumerate(sorted(vs))}
             if len(set(pairs)) != len(pairs):
                 issues.append(f"node {node.id}: R skeleton has parallel edges")
             else:
-                sg = build_graph(len(vs), [(relabel[a], relabel[b]) for a, b in pairs])
+                sg = dense_graph(vs, pairs)[0]
                 if not is_triconnected(sg):
                     issues.append(f"node {node.id}: R skeleton is not 3-connected")
         else:
@@ -472,16 +434,7 @@ def verify_tree(t: SpqrTree, g: Graph) -> list[str]:
         for te in t.tree_edges:
             adj[te.x].add(te.y)
             adj[te.y].add(te.x)
-        seen = set()
-        stack = [t.nodes[0].id]
-        seen.add(t.nodes[0].id)
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        if len(seen) != len(t.nodes):
+        if len(components(adj)) != 1:
             issues.append("tree is not connected")
         if len(t.tree_edges) != len(t.nodes) - 1:
             issues.append("tree edge count is not node count minus one")

@@ -16,7 +16,7 @@ from itertools import combinations
 from typing import Iterator
 
 from . import oracle, spqr
-from .circular import EdgeClass, check_outer_fan_planar, classify_edge, drawing_key
+from .circular import EdgeClass, check_outer_fan_planar, classify_edge, consecutive_run
 from .graph import Edge, Graph, build_graph, is_biconnected, norm_edge
 from .recognizer import RecognitionOutcome, recognize
 
@@ -220,17 +220,6 @@ def audit_accepted(records: list[AcceptedRecord]) -> list[dict]:
     return violations
 
 
-def _cyclic_consecutive(order: tuple[int, ...], vs: set[int]) -> int | None:
-    """Start position of a consecutive run equal to vs, else None."""
-    n = len(order)
-    pos = {v: i for i, v in enumerate(order)}
-    ps = {pos[v] for v in vs}
-    for r in range(n):
-        if {(r + k) % n for k in range(len(vs))} == ps:
-            return r
-    return None
-
-
 def _audit_order(g: Graph, order: tuple[int, ...]) -> list[dict]:
     from .circular import chords_cross
     from .recognizer import k4_subsets
@@ -267,7 +256,7 @@ def _audit_order(g: Graph, order: tuple[int, ...]) -> list[dict]:
         deg3 = [v for v in quad if g.degree(v) == 3]
         if not deg3:
             continue
-        start = _cyclic_consecutive(order, set(quad))
+        start = consecutive_run(order, set(quad))
         if start is None:
             issues.append({"kind": "degree3_k4_not_consecutive", "quad": quad})
             continue
@@ -285,7 +274,3 @@ def edge_count_violations(records: list[AcceptedRecord]) -> list[dict]:
         if rec.triconnected_path and rec.m not in (2 * rec.n, 3 * rec.n - 6):
             bad.append({"edges": rec.edges, "n": rec.n, "m": rec.m})
     return bad
-
-
-def embedding_class_count(g: Graph, orders) -> int:
-    return len({drawing_key(g, o) for o in orders})

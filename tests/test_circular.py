@@ -140,6 +140,17 @@ def test_canonicalize_invariant_under_symmetry(order, shift, flip):
     assert canonicalize(moved) == canonicalize(order)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 50), min_size=0, max_size=12, unique=True).map(tuple))
+def test_canonicalize_is_least_rotation_or_reflection(order):
+    n = len(order)
+    brute = min(
+        (seq[r:] + seq[:r] for seq in (order, order[::-1]) for r in range(n)),
+        default=(),
+    )
+    assert canonicalize(order) == brute
+
+
 @settings(max_examples=200, deadline=None)
 @given(order_strategy)
 def test_canonicalize_idempotent(order):

@@ -132,3 +132,52 @@ class TestReductionCommands:
             ["gen-3p", "--m", "3", "--B", "24", "--A", "7,7,7,8,8,8,8,9,12", "-o", str(tmp_path / "x.json")]
         )
         assert code == 2
+
+
+class TestMalformedInput:
+    """Malformed flags and files exit 2 with a JSON error on stderr."""
+
+    def error_of(self, capsys, argv):
+        code = main(argv)
+        err = capsys.readouterr().err
+        return code, json.loads(err)["error"]
+
+    def test_non_integer_outer_edge(self, capsys, k5_file):
+        code, error = self.error_of(capsys, ["recognize", k5_file, "--outer-edges", "a-b"])
+        assert code == 2
+        assert "a-b" in error
+
+    def test_non_integer_value(self, capsys, tmp_path):
+        argv = ["gen-3p", "--m", "3", "--B", "24", "--A", "7,x,9", "-o", str(tmp_path / "x.json")]
+        code, error = self.error_of(capsys, argv)
+        assert code == 2
+        assert "7,x,9" in error
+
+    def test_non_integer_triple(self, capsys, tmp_path):
+        inst = tmp_path / "inst.json"
+        main(["gen-3p", "--m", "3", "--B", "24", "--A", "7,7,7,8,8,8,8,9,10", "-o", str(inst)])
+        capsys.readouterr()
+        argv = ["route-witness", "--instance", str(inst), "--triples", "0,1,x;2,3,7;4,5,6",
+                "-o", str(tmp_path / "w.json")]
+        code, error = self.error_of(capsys, argv)
+        assert code == 2
+        assert "0,1,x" in error
+
+    def test_instance_without_n(self, capsys, tmp_path):
+        inst = tmp_path / "inst.json"
+        inst.write_text(json.dumps({"edges": [], "roles": {}}))
+        argv = ["route-witness", "--instance", str(inst), "--triples", "0,1,2",
+                "-o", str(tmp_path / "w.json")]
+        code, error = self.error_of(capsys, argv)
+        assert code == 2
+        assert "KeyError" in error
+
+    def test_instance_not_json(self, capsys, tmp_path):
+        inst = tmp_path / "inst.json"
+        inst.write_text("{not json")
+        wit = tmp_path / "w.json"
+        wit.write_text("{}")
+        argv = ["verify-witness", "--instance", str(inst), "--witness", str(wit)]
+        code, error = self.error_of(capsys, argv)
+        assert code == 2
+        assert "malformed instance JSON" in error

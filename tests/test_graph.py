@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import networkx as nx
 import pytest
 from hypothesis import given, settings
@@ -7,9 +9,11 @@ from outerfan.errors import GraphInputError
 from outerfan.graph import (
     build_graph,
     complete_graph,
+    components,
     cut_vertices,
     cycle_graph,
     degree3_k4_vertices,
+    dense_graph,
     format_edge_list,
     is_biconnected,
     is_connected,
@@ -136,6 +140,37 @@ def test_triconnectivity_matches_networkx(g):
         and nx.algorithms.connectivity.node_connectivity(to_nx(g)) >= 3
     )
     assert is_triconnected(g) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs(min_n=4))
+def test_separation_pairs_match_networkx(g):
+    h = to_nx(g)
+    expected = []
+    if nx.is_connected(h):
+        expected = [
+            (u, v)
+            for u, v in combinations(range(g.n), 2)
+            if not nx.is_connected(h.subgraph(set(h) - {u, v}))
+        ]
+    assert [(p.u, p.v) for p in separation_pairs(g)] == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs(), st.sets(st.integers(0, 7), max_size=3))
+def test_components_match_networkx(g, removed):
+    removed = {v for v in removed if v < g.n}
+    adj = dict(enumerate(g.adj))
+    rest = to_nx(g).subgraph(set(range(g.n)) - removed)
+    expected = sorted(nx.connected_components(rest), key=min)
+    assert components(adj, removed) == expected
+
+
+def test_dense_graph_relabels_in_id_order():
+    g, relabel = dense_graph({7, 3, 9}, [(3, 9), (9, 7)])
+    assert relabel == {3: 0, 7: 1, 9: 2}
+    assert list(relabel) == [3, 7, 9]
+    assert g == build_graph(3, [(0, 2), (1, 2)])
 
 
 @settings(max_examples=200, deadline=None)

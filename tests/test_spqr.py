@@ -5,6 +5,7 @@ import pytest
 
 from outerfan.errors import StructuralError
 from outerfan.graph import build_graph, complete_graph, cycle_graph, is_biconnected
+from outerfan.recognizer import recognize
 from outerfan.spqr import (
     build_spqr,
     node_views,
@@ -98,3 +99,26 @@ def test_json_round_trip():
     again = tree_from_json(tree_to_json(t))
     assert again == t
     assert reconstruct(again) == g
+
+
+def cycle_plus_chords(n, rng):
+    """The n-cycle plus n // 2 random chords, relabeled, with a vertex of
+    degree 2 left so that the graph has a separation pair."""
+    cycle = [(i, (i + 1) % n) for i in range(n)]
+    chords = [(u, v) for u, v in combinations(range(n), 2) if (v - u) % n not in (1, n - 1)]
+    perm = list(range(n))
+    rng.shuffle(perm)
+    while True:
+        g = build_graph(n, [(perm[u], perm[v]) for u, v in cycle + rng.sample(chords, n // 2)])
+        if any(g.degree(v) == 2 for v in range(n)):
+            return g
+
+
+def test_chords_graphs_beyond_sweep_sizes():
+    rng = random.Random(606)
+    for n in range(20, 61, 2):
+        g = cycle_plus_chords(n, rng)
+        t = build_spqr(g)
+        assert verify_tree(t, g) == []
+        assert reconstruct(t) == g
+        assert not recognize(g).accepted
