@@ -35,7 +35,6 @@ def main() -> int:
     exhaustive = run_exhaustive_sweep(
         max_n=args.exhaustive_n,
         compare_embeddings=not args.skip_embeddings,
-        check_spqr=True,
     )
     sizes = tuple(int(x) for x in args.sizes.split(",") if x)
     randomized = run_random_sweep(
@@ -43,7 +42,6 @@ def main() -> int:
         samples_per_size=args.samples,
         seed=args.seed,
         compare_embeddings=not args.skip_embeddings,
-        check_spqr=True,
     )
     elapsed = time.time() - t0
 

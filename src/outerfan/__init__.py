@@ -39,7 +39,6 @@ from .recognizer import (
     is_porous,
     recognize,
     recognize_3connected,
-    recognize_biconnected,
 )
 from .reduction import (
     ReductionInstance,
@@ -87,7 +86,6 @@ __all__ = [
     "path_graph",
     "recognize",
     "recognize_3connected",
-    "recognize_biconnected",
     "reconstruct",
     "render_svg",
     "route_witness",

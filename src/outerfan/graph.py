@@ -5,9 +5,11 @@ are new values.  Every connectivity predicate rests on one component search
 (``_reach``) and one separating-pair search
 (:func:`iter_separation_pairs`), which deletes each vertex pair in
 lexicographic order and re-checks connectivity, yielding lazily so that a
-caller needing only the first pair stops there.  That is O(n^2 (n + m))
-when no pair separates, obviously correct, and fast enough at the sizes this
-package works with (fan-planar graphs are sparse).
+caller needing only the first pair stops there.  A caller that already
+knows no pair up to some pair separates passes it as ``after`` and the
+search resumes above it (the SPQR split does, for its split parts).  That
+is O(n^2 (n + m)) when no pair separates, obviously correct, and fast
+enough at the sizes this package works with (fan-planar graphs are sparse).
 
 The on-disk format for graphs is a plain edge list: a header line ``n m``
 followed by ``m`` lines ``u v`` with 0-based ids.  ``#`` starts a comment.
@@ -148,14 +150,18 @@ def components(
     return [set(_reach(adj, x, seen)) for x in sorted(adj) if x not in seen]
 
 
-def iter_separation_pairs(adj: Mapping[int, Iterable[int]]) -> Iterator[tuple[int, int]]:
-    """Lazily yield, in lexicographic order, every vertex pair whose removal
-    disconnects the connected graph ``adj`` (vertex to neighbors) on at
-    least three vertices."""
+def iter_separation_pairs(
+    adj: Mapping[int, Iterable[int]], after: tuple[int, int] = (-1, -1)
+) -> Iterator[tuple[int, int]]:
+    """Lazily yield, in lexicographic order, every vertex pair above ``after``
+    whose removal disconnects the connected graph ``adj`` (vertex to
+    neighbors) on at least three vertices."""
     vs = sorted(adj)
     n = len(vs)
     for i, u in enumerate(vs):
         for v in vs[i + 1 :]:
+            if (u, v) <= after:
+                continue
             seen = {u, v}
             # any vertex outside the pair starts the search
             start = vs[0] if i else (vs[2] if v == vs[1] else vs[1])

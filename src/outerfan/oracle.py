@@ -199,10 +199,6 @@ def outer_fan_planar_order(g: Graph, max_n: int = DEFAULT_MAX_N) -> CircularOrde
     return found[0] if found else None
 
 
-def is_outer_fan_planar(g: Graph, max_n: int = DEFAULT_MAX_N) -> bool:
-    return outer_fan_planar_order(g, max_n) is not None
-
-
 def enumerate_embeddings_raw(g: Graph, max_n: int = DEFAULT_MAX_N) -> tuple[CircularOrder, ...]:
     """Every canonical order passing the fan-planarity check, sorted."""
     _check_size(g, max_n)

@@ -1,24 +1,26 @@
 """Decision procedure for maximal outer-fan-planarity.
 
-Three cooperating paths:
+:func:`recognize` rejects graphs that are not biconnected, builds the SPQR
+tree once and dispatches on it.  A single rigid node is a 3-connected graph
+(:func:`recognize_3connected` takes one with prescribed outer edges):
 
 * complete 2-hop graphs (the cycle plus all 2-hop chords) are detected by a
   seeded greedy reconstruction of the boundary cycle and are always maximal;
-* a 3-connected graph on four or five vertices is maximal exactly when it
-  is complete (a fact the test suite checks against the exhaustive oracle
-  on every such labeled graph); its
-  drawings are the canonical orders of the complete graph that pass the
-  fan-planarity check;
-* other 3-connected graphs are peeled down to a triangle by repeatedly
-  removing a degree-3 vertex of a 4-clique, then rebuilt by reinserting the
-  vertices between their neighbors while preserving fan-planarity, branching
-  over the (at most two) feasible slots.  Each slot is checked
-  incrementally: inserting a vertex leaves every old crossing as it was, so
-  only the new edges and the old edges they cross are re-examined;
-* biconnected graphs are split into an SPQR tree and accepted iff the rigid
-  skeletons are maximal with their virtual edges drawable on the outer face
-  and the tree satisfies a small set of local conditions, including a
-  porosity test at every parallel node.
+* on four or five vertices it is maximal exactly when it is complete (a
+  fact the test suite checks against the exhaustive oracle on every such
+  labeled graph); its drawings are the canonical orders of the complete
+  graph that pass the fan-planarity check;
+* otherwise it is peeled down to a triangle by repeatedly removing a
+  degree-3 vertex of a 4-clique, then rebuilt by reinserting the vertices
+  between their neighbors while preserving fan-planarity, branching over
+  the (at most two) feasible slots.  Each slot is checked incrementally:
+  inserting a vertex leaves every old crossing as it was, so only the new
+  edges and the old edges they cross are re-examined.
+
+A single series node is a chordless cycle, maximal only as a triangle.  Any
+other tree is accepted iff its rigid skeletons pass the 3-connected paths
+with their virtual edges on the outer face and the tree satisfies a small
+set of local conditions, including a porosity test at every parallel node.
 
 The recognizer does not use the exhaustive oracle, so the test suite's
 recognizer-vs-oracle sweep compares two independent procedures; embeddings
@@ -411,14 +413,9 @@ def _peel_and_reinsert(g: Graph, outer_required: frozenset[Edge], raw: _RawResul
     raw.orders = final
 
 
-def _require_triconnected(g: Graph) -> None:
-    if not is_triconnected(g):
-        raise StructuralError("input graph is not 3-connected")
-
-
 def _recognize_3connected_raw(g: Graph, outer_required: frozenset[Edge]) -> _RawResult:
-    """Full drawing set (not deduplicated) for a graph the caller has
-    checked to be 3-connected."""
+    """Full drawing set (not deduplicated) for a 3-connected graph: a rigid
+    SPQR node, or an input :func:`recognize_3connected` has checked."""
     bad = [e for e in outer_required if e not in g.edges]
     if bad:
         raise StructuralError(f"required outer edges not in graph: {bad}")
@@ -488,7 +485,8 @@ def recognize_3connected(
     with every edge of ``outer_required`` on the outer face; the embeddings
     are all such drawings.
     """
-    _require_triconnected(g)
+    if not is_triconnected(g):
+        raise StructuralError("input graph is not 3-connected")
     req = frozenset(norm_edge(u, v) for u, v in outer_required)
     raw = _recognize_3connected_raw(g, req)
     return _finish(g, raw)
@@ -732,13 +730,16 @@ def _assemble(tree: spqr.SpqrTree, views: dict[int, _SkelView]) -> list[Circular
     return sorted(results)
 
 
-def recognize_biconnected(g: Graph) -> RecognitionOutcome:
-    """Maximal outer-fan-planarity test for a biconnected graph."""
+def recognize(g: Graph) -> RecognitionOutcome:
+    """Entry point: the verdict and every drawing, decided from the SPQR
+    tree (graphs that are not biconnected are never maximal)."""
     if g.n < 3 or not is_biconnected(g):
         return RecognitionOutcome(
             Verdict.REJECTED_NOT_BICONNECTED, "graph is not biconnected", (), ()
         )
     tree = spqr.build_spqr(g)
+    if len(tree.nodes) == 1 and tree.nodes[0].kind == "R":
+        return _finish(g, _recognize_3connected_raw(g, frozenset()))
     trace: list[str] = [f"spqr tree with {len(tree.nodes)} nodes"]
     max_live = 0
     two_hop_candidates = 0
@@ -748,31 +749,25 @@ def recognize_biconnected(g: Graph) -> RecognitionOutcome:
             verdict, reason, (), tuple(trace), path, max_live, two_hop_candidates
         )
 
-    if len(tree.nodes) == 1:
-        node = tree.nodes[0]
-        if node.kind == "S":
-            if g.n == 3:
-                return RecognitionOutcome(
-                    Verdict.ACCEPTED, None, ((0, 1, 2),), tuple(trace), "cycle"
-                )
-            return reject(
-                Verdict.REJECTED_STRUCTURE,
-                "chordless cycle admits chord insertions",
-                path="cycle",
+    if len(tree.nodes) == 1:  # a single series node: a chordless cycle
+        if g.n == 3:
+            return RecognitionOutcome(
+                Verdict.ACCEPTED, None, ((0, 1, 2),), tuple(trace), "cycle"
             )
-        _require_triconnected(g)
-        raw = _recognize_3connected_raw(g, frozenset())
-        raw.trace = trace + raw.trace
-        return _finish(g, raw)
+        return reject(
+            Verdict.REJECTED_STRUCTURE,
+            "chordless cycle admits chord insertions",
+            path="cycle",
+        )
 
     views = {n.id: _skeleton_view(n) for n in tree.nodes}
     kinds = {n.id: n.kind for n in tree.nodes}
 
-    # rigid skeletons must be maximal with all virtual edges on the outer face
+    # rigid skeletons (3-connected by construction) must be maximal with all
+    # virtual edges on the outer face
     for nid, view in sorted(views.items()):
         if view.kind != "R":
             continue
-        _require_triconnected(view.graph)
         res = _recognize_3connected_raw(view.graph, view.virtual_edges)
         max_live = max(max_live, res.max_live)
         two_hop_candidates = max(two_hop_candidates, res.two_hop_candidates)
@@ -862,24 +857,6 @@ def recognize_biconnected(g: Graph) -> RecognitionOutcome:
         max_live,
         two_hop_candidates,
     )
-
-
-def recognize(g: Graph) -> RecognitionOutcome:
-    """Entry point: dispatch on connectivity.
-
-    Graphs that are not biconnected are never maximal outer-fan-planar;
-    3-connected graphs take the peeling path, the rest the SPQR path.
-    """
-    if g.n < 3 or not is_biconnected(g):
-        return RecognitionOutcome(
-            Verdict.REJECTED_NOT_BICONNECTED,
-            "graph is not biconnected",
-            (),
-            (),
-        )
-    if is_triconnected(g):
-        return _finish(g, _recognize_3connected_raw(g, frozenset()))
-    return recognize_biconnected(g)
 
 
 def k4_subsets(g: Graph) -> list[tuple[int, int, int, int]]:

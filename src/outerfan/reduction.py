@@ -28,7 +28,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path as FsPath
 
-from .errors import GraphInputError
+from .errors import GraphInputError, StructuralError
 from .graph import Edge, Graph, build_graph, norm_edge
 
 
@@ -266,7 +266,7 @@ def generate_instance(tp: ThreePartitionInstance) -> ReductionInstance:
         u=u,
         v=v,
     )
-    _assert_instance_invariants(inst, tp)
+    _check_instance_invariants(inst, tp)
     return inst
 
 
@@ -382,24 +382,32 @@ def _build_rotation(tp, graph, paths, tb, bb, lw, rw, floors):
     return tuple(rotation)
 
 
-def _assert_instance_invariants(inst: ReductionInstance, tp: ThreePartitionInstance) -> None:
+def _check_instance_invariants(inst: ReductionInstance, tp: ThreePartitionInstance) -> None:
+    """Raise StructuralError if the instance breaks a size fact of the
+    construction or a rotation entry disagrees with its neighbor set."""
+
+    def require(ok: bool, what: str) -> None:
+        if not ok:
+            raise StructuralError(f"reduction instance invariant broken: {what}")
+
     m, big_b, big_k = tp.m, tp.target, inst.params["K"]
-    assert big_k == math.ceil(big_b / 2) + 1
-    assert len(inst.gadgets["top_beam"].cycle) == 3 * m * big_k
-    assert len(inst.gadgets["right_wall"].cycle) == 5
+    require(big_k == math.ceil(big_b / 2) + 1, f"K = {big_k} for B = {big_b}")
+    require(len(inst.gadgets["top_beam"].cycle) == 3 * m * big_k, "top beam length")
+    require(len(inst.gadgets["right_wall"].cycle) == 5, "right wall length")
     for gadget in inst.gadgets.values():
-        assert len(gadget.cycle) >= 5, f"{gadget.name} below barrier size"
+        require(len(gadget.cycle) >= 5, f"{gadget.name} below barrier size")
     for (i, j), verts in inst.cells.items():
         central = j == m - 1
         expected = tp.values[i] if central else big_k
-        assert len(verts) == expected
+        require(len(verts) == expected, f"cell ({i}, {j}) has {len(verts)} vertices")
         if not central:
-            assert len(verts) > max(tp.values)
-    for p in inst.paths:
-        assert len(p) - 1 == (3 * m - 3) * big_k + big_b
+            require(len(verts) > max(tp.values), f"cell ({i}, {j}) not above max(A)")
+    for k, p in enumerate(inst.paths):
+        require(len(p) - 1 == (3 * m - 3) * big_k + big_b, f"path {k} length")
     for vid in range(inst.graph.n):
-        assert set(inst.rotation[vid]) == set(inst.graph.neighbors(vid))
-        assert len(inst.rotation[vid]) == len(inst.graph.neighbors(vid))
+        rot = inst.rotation[vid]
+        nbrs = inst.graph.neighbors(vid)
+        require(set(rot) == set(nbrs) and len(rot) == len(nbrs), f"rotation at {vid}")
 
 
 # ---------------------------------------------------------------------------

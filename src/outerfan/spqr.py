@@ -8,8 +8,11 @@ into series (cycle), parallel (edge bundle) and rigid (3-connected) nodes.
 Each split decides its skeleton's kind once, from one call of the package's
 shared, early-exit separating-pair search
 (:func:`outerfan.graph.iter_separation_pairs`): a component with no split
-pair is rigid.  The search is quadratic in the vertex count per component,
-which keeps the construction small and auditable at desk scale.
+pair is rigid.  The split parts resume that search above the pair the
+split chose, since no pair up to it separates any part, so a pair found
+not to separate is never tested again further down.  The search is
+quadratic in the vertex count per component, which keeps the construction
+small and auditable at desk scale.
 
 Representation choice: real edges live inside the S/P/R skeletons they
 belong to.  A parallel node's real edge additionally gets an explicit
@@ -96,15 +99,17 @@ def _vertices(edges: list[_MEdge]) -> set[int]:
     return vs
 
 
-def _adjacency(edges: list[_MEdge]) -> dict[int, set[int]]:
+def _adjacency(edges: list[_MEdge]) -> dict[int, tuple[int, ...]]:
     adj: dict[int, set[int]] = {}
     for e in edges:
         adj.setdefault(e.u, set()).add(e.v)
         adj.setdefault(e.v, set()).add(e.u)
-    return adj
+    # the pair search walks these lists once per pair; a set grown by adds
+    # keeps a sparse table that is slower to walk than a tuple
+    return {x: tuple(nbrs) for x, nbrs in adj.items()}
 
 
-def _is_cycle(edges: list[_MEdge], adj: dict[int, set[int]]) -> bool:
+def _is_cycle(edges: list[_MEdge], adj: dict[int, tuple[int, ...]]) -> bool:
     # with as many edges as vertices, all simple degrees 2 rules out parallels
     return (
         len(edges) == len(adj) >= 3
@@ -123,9 +128,12 @@ def _has_parallel(edges: list[_MEdge]) -> Edge | None:
     return None
 
 
-def _find_split_pair(edges: list[_MEdge], adj: dict[int, set[int]]) -> Edge | None:
-    """The least of the least parallel pair and the first separating pair."""
-    found = [_has_parallel(edges), next(iter_separation_pairs(adj), None)]
+def _find_split_pair(
+    edges: list[_MEdge], adj: dict[int, tuple[int, ...]], after: Edge
+) -> Edge | None:
+    """The least of the least parallel pair and the first separating pair,
+    given that no pair up to ``after`` separates the component."""
+    found = [_has_parallel(edges), next(iter_separation_pairs(adj, after), None)]
     return min((p for p in found if p is not None), default=None)
 
 
@@ -138,7 +146,9 @@ class _Decomposition:
         self.next_link += 1
         return self.next_link - 1
 
-    def split(self, edges: list[_MEdge]) -> None:
+    def split(self, edges: list[_MEdge], after: Edge = (-1, -1)) -> None:
+        """Split the component ``edges``, in which no pair up to ``after``
+        separates; its parts resume the pair search above the chosen pair."""
         adj = _adjacency(edges)
         if len(adj) == 2:
             self.skeletons.append(("P", edges))  # bond
@@ -146,7 +156,7 @@ class _Decomposition:
         if _is_cycle(edges, adj):
             self.skeletons.append(("S", edges))
             return
-        pair = _find_split_pair(edges, adj)
+        pair = _find_split_pair(edges, adj, after)
         if pair is None:
             if len(adj) < 4:
                 raise StructuralError("no split pair in a non-atomic component")
@@ -163,7 +173,7 @@ class _Decomposition:
         if not singles and len(classes) == 2:
             link = self.new_link()
             for cls in classes:
-                self.split(cls + [_MEdge(u, v, "virtual", link)])
+                self.split(cls + [_MEdge(u, v, "virtual", link)], pair)
             return
         # central bond absorbs every parallel edge and one virtual edge per
         # component class
@@ -171,7 +181,7 @@ class _Decomposition:
         for cls in classes:
             link = self.new_link()
             central.append(_MEdge(u, v, "virtual", link))
-            self.split(cls + [_MEdge(u, v, "virtual", link)])
+            self.split(cls + [_MEdge(u, v, "virtual", link)], pair)
         self.skeletons.append(("P", central))
 
 

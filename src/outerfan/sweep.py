@@ -111,8 +111,6 @@ def _check_one(
     g: Graph,
     result: SweepResult,
     compare_embeddings: bool,
-    check_spqr: bool,
-    check_density: bool,
 ) -> None:
     from .graph import is_triconnected
 
@@ -130,12 +128,10 @@ def _check_one(
             }
         )
         return
-    if check_density:
-        order = oracle.outer_fan_planar_order(g)
-        if order is not None:
-            result.ofp_graphs.append((g.n, g.m))
-            if g.n >= 4 and g.m > 5 * g.n - 10:
-                result.density_violations.append({"edges": g.edge_list()})
+    if oracle.outer_fan_planar_order(g) is not None:
+        result.ofp_graphs.append((g.n, g.m))
+        if g.n >= 4 and g.m > 5 * g.n - 10:
+            result.density_violations.append({"edges": g.edge_list()})
     if outcome.accepted:
         if compare_embeddings:
             expected = oracle.enumerate_embeddings(g)
@@ -159,23 +155,20 @@ def _check_one(
                 two_hop_candidates=outcome.two_hop_candidates,
             )
         )
-    if check_spqr:
-        tree = spqr.build_spqr(g)
-        issues = spqr.verify_tree(tree, g)
-        if issues:
-            result.spqr_failures.append({"edges": g.edge_list(), "issues": issues})
+    issues = spqr.verify_tree(spqr.build_spqr(g), g)
+    if issues:
+        result.spqr_failures.append({"edges": g.edge_list(), "issues": issues})
 
 
 def run_exhaustive_sweep(
     max_n: int = 6,
     compare_embeddings: bool = True,
-    check_spqr: bool = True,
 ) -> SweepResult:
     """All labeled biconnected graphs with 3 <= n <= max_n."""
     result = SweepResult()
     for n in range(3, max_n + 1):
         for g in all_biconnected_graphs(n):
-            _check_one(g, result, compare_embeddings, check_spqr, check_density=True)
+            _check_one(g, result, compare_embeddings)
     return result
 
 
@@ -184,7 +177,6 @@ def run_random_sweep(
     samples_per_size: int = 10_000,
     seed: int = 0,
     compare_embeddings: bool = False,
-    check_spqr: bool = True,
 ) -> SweepResult:
     """Seeded random biconnected graphs at each size."""
     result = SweepResult()
@@ -192,7 +184,7 @@ def run_random_sweep(
         rng = random.Random(seed * 1_000_003 + n)
         for _ in range(samples_per_size):
             g = sample_biconnected(n, rng)
-            _check_one(g, result, compare_embeddings, check_spqr, check_density=True)
+            _check_one(g, result, compare_embeddings)
     return result
 
 

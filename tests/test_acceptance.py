@@ -47,13 +47,12 @@ def report(criterion: int, ok: bool, detail: str) -> bool:
 @pytest.fixture(scope="session")
 def sweep():
     t0 = time.time()
-    exhaustive = run_exhaustive_sweep(max_n=6, compare_embeddings=True, check_spqr=True)
+    exhaustive = run_exhaustive_sweep(max_n=6, compare_embeddings=True)
     randomized = run_random_sweep(
         sizes=(7, 8),
         samples_per_size=RANDOM_SAMPLES_PER_SIZE,
         seed=SWEEP_SEED,
         compare_embeddings=True,
-        check_spqr=True,
     )
     elapsed = time.time() - t0
     REPORT_LINES.append(

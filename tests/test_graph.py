@@ -18,6 +18,7 @@ from outerfan.graph import (
     is_biconnected,
     is_connected,
     is_triconnected,
+    iter_separation_pairs,
     parse_edge_list,
     path_graph,
     remove_vertex,
@@ -164,6 +165,15 @@ def test_components_match_networkx(g, removed):
     rest = to_nx(g).subgraph(set(range(g.n)) - removed)
     expected = sorted(nx.connected_components(rest), key=min)
     assert components(adj, removed) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs(min_n=3))
+def test_separation_pair_search_resumes_after_any_pair(g):
+    adj = dict(enumerate(g.adj))
+    full = list(iter_separation_pairs(adj))
+    for after in [(-1, -1), *combinations(range(g.n), 2)]:
+        assert list(iter_separation_pairs(adj, after)) == [p for p in full if p > after]
 
 
 def test_dense_graph_relabels_in_id_order():

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from outerfan import oracle, recognizer
+from outerfan import graph, oracle, recognizer, spqr
 from outerfan.circular import EdgeClass, check_outer_fan_planar, classify_edge
 from outerfan.errors import StructuralError
 from outerfan.graph import (
@@ -27,7 +27,6 @@ from outerfan.recognizer import (
     is_porous,
     recognize,
     recognize_3connected,
-    recognize_biconnected,
 )
 from outerfan.sweep import all_graphs, grown_graph, sample_biconnected
 
@@ -294,10 +293,6 @@ class TestOutcomeSerialization:
         assert d["embeddings"] == [[0, 1, 2, 3, 4]]
         assert isinstance(d["trace"], list)
 
-    def test_biconnected_entry_point_matches_dispatch(self):
-        g = build_graph(4, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3)])
-        assert recognize_biconnected(g).verdict == recognize(g).verdict
-
 
 class TestIncrementalSlotCheck:
     """The per-slot check of the reinsertion against the reference checker.
@@ -395,3 +390,42 @@ class TestGrownFamily:
             assert out.embeddings
             for order in out.embeddings:
                 assert check_outer_fan_planar(g, order).verdict
+
+
+def test_recognize_builds_one_tree_and_tests_no_triconnectivity(monkeypatch):
+    """Every biconnected input costs one SPQR build and no separate
+    3-connectivity test; 3-connected inputs leave no SPQR trace line."""
+    real_build, real_tri = spqr.build_spqr, graph.is_triconnected
+    calls = {"build_spqr": 0, "is_triconnected": 0}
+
+    def counting_build(g):
+        calls["build_spqr"] += 1
+        return real_build(g)
+
+    def counting_tri(g):
+        calls["is_triconnected"] += 1
+        return real_tri(g)
+
+    monkeypatch.setattr(spqr, "build_spqr", counting_build)
+    for module in (graph, spqr, recognizer):
+        monkeypatch.setattr(module, "is_triconnected", counting_tri)
+
+    rng = random.Random(44)
+    inputs = [complete_graph(4), complete_graph(5), complete_two_hop_graph(8)]
+    inputs += [cycle_graph(3), cycle_graph(6), remark6_graph()]
+    inputs += [grown_graph(n, rng) for n in (6, 7, 9, 12, 16)]
+    inputs += [sample_biconnected(n, rng) for n in (5, 6, 7, 8) for _ in range(10)]
+    seen_accepted_3connected = 0
+    for g in inputs:
+        calls.update(build_spqr=0, is_triconnected=0)
+        out = recognize(g)
+        assert calls == {"build_spqr": 1, "is_triconnected": 0}, g.edge_list()
+        if out.accepted and real_tri(g):
+            seen_accepted_3connected += 1
+            assert out.path in {"base", "two_hop", "peel"}
+            assert not any(line.startswith("spqr tree") for line in out.trace)
+    assert seen_accepted_3connected >= 8
+
+    calls.update(build_spqr=0, is_triconnected=0)
+    recognize(path_graph(5))
+    assert calls == {"build_spqr": 0, "is_triconnected": 0}

@@ -1,11 +1,14 @@
+import dataclasses
+
 import pytest
 
-from outerfan.errors import GraphInputError
+from outerfan.errors import GraphInputError, StructuralError
 from outerfan.graph import is_biconnected
 from outerfan.reduction import (
     ReductionInstance,
     ThreePartitionInstance,
     WitnessDrawing,
+    _check_instance_invariants,
     count_vertical_crossings_per_path,
     generate_instance,
     instance_from_json,
@@ -89,6 +92,19 @@ class TestGeneration:
         g = fig_instance.graph
         for v in range(g.n):
             assert sorted(fig_instance.rotation[v]) == sorted(g.neighbors(v))
+
+    def test_tampered_instance_raises_structural_error(self, fig_instance):
+        tp = ThreePartitionInstance(3, FIG_VALUES, 24)
+        _check_instance_invariants(fig_instance, tp)
+        rotation = list(fig_instance.rotation)
+        rotation[0] = rotation[0][1:]  # a rotation entry missing a neighbor
+        short_path = [fig_instance.paths[0][:-1], *fig_instance.paths[1:]]
+        for tampered in (
+            dataclasses.replace(fig_instance, rotation=tuple(rotation)),
+            dataclasses.replace(fig_instance, paths=short_path),
+        ):
+            with pytest.raises(StructuralError, match="invariant broken"):
+                _check_instance_invariants(tampered, tp)
 
     def test_path_order_specular_at_wall_centers(self, fig_instance):
         # cyclic order of path starts around one wall center reverses the

@@ -3,8 +3,16 @@ from itertools import combinations
 
 import pytest
 
+from outerfan import spqr
 from outerfan.errors import StructuralError
-from outerfan.graph import build_graph, complete_graph, cycle_graph, is_biconnected
+from outerfan.graph import (
+    build_graph,
+    complete_graph,
+    components,
+    cycle_graph,
+    is_biconnected,
+    iter_separation_pairs,
+)
 from outerfan.recognizer import recognize
 from outerfan.spqr import (
     build_spqr,
@@ -122,3 +130,35 @@ def test_chords_graphs_beyond_sweep_sizes():
         assert verify_tree(t, g) == []
         assert reconstruct(t) == g
         assert not recognize(g).accepted
+
+
+def test_split_parts_gain_no_separating_pair():
+    """The lemma behind the resumed pair search of a split: every pair that
+    separates a split part (a component of G - p plus p and the edge p)
+    also separates G, and p separates no part.  So when p is the first
+    separating pair of G, no pair up to p separates any part."""
+    rng = random.Random(707)
+    checked = 0
+    for _ in range(150):
+        g = random_biconnected(rng, 4, 9)
+        adj = dict(enumerate(g.adj))
+        separating = set(iter_separation_pairs(adj))
+        for p in separating:
+            for comp in components(adj, p):
+                part = {x: {y for y in adj[x] if y in comp or y in p} for x in comp}
+                part.update({x: {y for y in adj[x] if y in comp} | (set(p) - {x}) for x in p})
+                assert set(iter_separation_pairs(part)) <= separating - {p}
+                checked += 1
+    assert checked > 100
+
+
+def test_resumed_pair_search_builds_the_same_tree(monkeypatch):
+    rng = random.Random(808)
+    graphs = [random_biconnected(rng) for _ in range(80)]
+    graphs += [cycle_plus_chords(n, rng) for n in (12, 20, 30)]
+    resumed = [tree_to_json(build_spqr(g)) for g in graphs]
+    search = spqr._find_split_pair
+    monkeypatch.setattr(
+        spqr, "_find_split_pair", lambda edges, adj, after: search(edges, adj, (-1, -1))
+    )
+    assert [tree_to_json(build_spqr(g)) for g in graphs] == resumed
