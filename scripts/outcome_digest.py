@@ -1,20 +1,26 @@
 #!/usr/bin/env python3
-"""Print one SHA-256 over the recognizer's and the SPQR builder's outputs on a
-fixed, seeded corpus of biconnected graphs.
+"""Print SHA-256 digests over the recognizer's, the SPQR builder's and the
+connectivity predicates' outputs on fixed, seeded corpora.
 
-Two checkouts that print the same digest give byte-identical results on
-every graph of the corpus for four outputs: ``recognize(g).to_json_dict()``,
-``tree_to_json(build_spqr(g))``, ``is_triconnected(g)`` and
-``separation_pairs(g)``.  Use it to show that a refactor changes no verdict,
-embedding, trace or tree:
+Two checkouts that print the same digests give byte-identical results on
+every graph of the first corpus, of biconnected graphs, for four outputs:
+``recognize(g).to_json_dict()``, ``tree_to_json(build_spqr(g))``,
+``is_triconnected(g)`` and ``separation_pairs(g)``; and on every graph of
+the second, of connected graphs with a cut vertex, for ``is_biconnected(g)``
+and ``cut_vertices(g)``.  Use it to show that a refactor changes no verdict,
+embedding, trace, tree or cut vertex:
 
     PYTHONPATH=src python scripts/outcome_digest.py
 
-The corpus, drawn in this order with one ``random.Random(20261018)``: every
-labeled biconnected graph with n = 3..5, then 150 ``small_biconnected`` per
-n = 4..9, 5 ``chords_graph`` per n = 8..50 and 20 ``grown_graph`` per
-n = 6..24 from ``perfbench/gen.py`` (which does not import ``outerfan``, so
-the inputs do not depend on the code under test).
+The first corpus, drawn in this order with one ``random.Random(20261018)``:
+every labeled biconnected graph with n = 3..5, then 150
+``small_biconnected`` per n = 4..9, 5 ``chords_graph`` per n = 8..50 and 20
+``grown_graph`` per n = 6..24 from ``perfbench/gen.py`` (which does not
+import ``outerfan``, so the inputs do not depend on the code under test).
+The second, drawn with its own ``random.Random(20261019)``: for each
+n = 3..30, 10 random trees, then 10 random connected graphs made of two
+random connected sides glued at one cut vertex; this script draws them
+without ``outerfan`` either.
 """
 
 from __future__ import annotations
@@ -30,12 +36,19 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
 import gen  # noqa: E402
 
-from outerfan.graph import build_graph, is_triconnected, separation_pairs  # noqa: E402
+from outerfan.graph import (  # noqa: E402
+    build_graph,
+    cut_vertices,
+    is_biconnected,
+    is_triconnected,
+    separation_pairs,
+)
 from outerfan.recognizer import recognize  # noqa: E402
 from outerfan.spqr import build_spqr, tree_to_json  # noqa: E402
 from outerfan.sweep import all_biconnected_graphs  # noqa: E402
 
 SEED = 20261018
+CUT_SEED = 20261019
 
 
 def corpus():
@@ -65,16 +78,56 @@ def outputs(g) -> str:
     )
 
 
-def main() -> int:
-    t0 = time.perf_counter()
+def random_tree(vertices: list[int], rng: random.Random) -> list[tuple[int, int]]:
+    """Each vertex after the first hangs from a random earlier one."""
+    return [(vertices[rng.randrange(i)], v) for i, v in enumerate(vertices) if i]
+
+
+def glued_graph(n: int, rng: random.Random) -> list[tuple[int, int]]:
+    """Two random connected sides sharing only one vertex, a cut vertex."""
+    perm = list(range(n))
+    rng.shuffle(perm)
+    cut, rest = perm[0], perm[1:]
+    k = rng.randint(1, n - 2)
+    edges = []
+    for side in ([cut, *rest[:k]], [cut, *rest[k:]]):
+        rng.shuffle(side)
+        edges += random_tree(side, rng)
+        density = rng.uniform(0, 0.5)
+        edges += [
+            (a, b) for i, a in enumerate(side) for b in side[i + 1 :] if rng.random() < density
+        ]
+    return edges
+
+
+def cut_corpus():
+    rng = random.Random(CUT_SEED)
+    for n in range(3, 31):
+        for _ in range(10):
+            yield build_graph(n, random_tree(list(range(n)), rng))
+        for _ in range(10):
+            yield build_graph(n, glued_graph(n, rng))
+
+
+def cut_outputs(g) -> str:
+    return json.dumps([g.edge_list(), is_biconnected(g), cut_vertices(g)])
+
+
+def digest_lines(label: str, graphs, render) -> None:
     digest = hashlib.sha256()
     count = 0
-    for g in corpus():
-        digest.update(outputs(g).encode())
+    for g in graphs:
+        digest.update(render(g).encode())
         digest.update(b"\n")
         count += 1
-    print(f"graphs {count}")
-    print(f"sha256 {digest.hexdigest()}")
+    print(f"{label}graphs {count}")
+    print(f"{label}sha256 {digest.hexdigest()}")
+
+
+def main() -> int:
+    t0 = time.perf_counter()
+    digest_lines("", corpus(), outputs)
+    digest_lines("cut ", cut_corpus(), cut_outputs)
     print(f"seconds {time.perf_counter() - t0:.1f}", file=sys.stderr)
     return 0
 

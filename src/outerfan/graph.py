@@ -1,15 +1,20 @@
 """Simple undirected graphs over dense integer vertex ids.
 
 Graphs are immutable values; derived graphs (vertex deletion, edge addition)
-are new values.  Every connectivity predicate rests on one component search
-(``_reach``) and one separating-pair search
-(:func:`iter_separation_pairs`), which deletes each vertex pair in
-lexicographic order and re-checks connectivity, yielding lazily so that a
-caller needing only the first pair stops there.  A caller that already
-knows no pair up to some pair separates passes it as ``after`` and the
-search resumes above it (the SPQR split does, for its split parts).  That
-is O(n^2 (n + m)) when no pair separates, obviously correct, and fast
-enough at the sizes this package works with (fan-planar graphs are sparse).
+are new values.  Every connectivity predicate rests on two searches: a
+component search (``_reach``) and an iterative lowpoint depth-first search
+(``_pieces_left``, after Hopcroft and Tarjan, "Efficient algorithms for
+graph manipulation", CACM 1973), which gives, for every vertex at once, the
+number of pieces its deletion leaves of its component.  One lowpoint search
+finds the cut vertices in O(n + m).  The separating-pair search
+(:func:`iter_separation_pairs`) runs one lowpoint search on G - u for each
+vertex u, in increasing order, and reads off every pair (u, v) whose removal
+disconnects G: O(n (n + m)) when no pair separates.  It yields lazily, in
+lexicographic order, so that a caller needing only the first pair stops
+there; a caller that already knows no pair up to some pair separates passes
+it as ``after`` and the search resumes above it (the SPQR split does, for
+its split parts).  Both searches keep an explicit stack, so no input size
+can exhaust the interpreter's recursion limit.
 
 The on-disk format for graphs is a plain edge list: a header line ``n m``
 followed by ``m`` lines ``u v`` with 0-based ids.  ``#`` starts a comment.
@@ -150,50 +155,100 @@ def components(
     return [set(_reach(adj, x, seen)) for x in sorted(adj) if x not in seen]
 
 
+def _pieces_left(
+    nbrs: Sequence[Iterable[int]], skip: int = -1
+) -> tuple[int, list[int]]:
+    """One lowpoint depth-first search over the graph ``nbrs`` (dense ids,
+    vertex to neighbors) with vertex ``skip`` deleted.
+
+    Returns the number of components and, for every vertex v, the number of
+    pieces that deleting v leaves of v's component: its DFS child count at a
+    root (0 for an isolated vertex), and at any other vertex 1 plus its
+    children whose subtree reaches no higher than v.  The entry for ``skip``
+    is meaningless.
+    """
+    n = len(nbrs)
+    disc = [0] * n  # DFS discovery number, 0 while unvisited
+    low = [0] * n
+    pieces = [1] * n
+    if skip >= 0:
+        disc[skip] = n + 1  # visited, and never lowers a lowpoint
+    count = 0
+    t = 0
+    for root in range(n):
+        if disc[root]:
+            continue
+        count += 1
+        t += 1
+        disc[root] = low[root] = t
+        pieces[root] = 0
+        stack = [(root, iter(nbrs[root]))]
+        while stack:
+            v, rest = stack[-1]
+            for w in rest:
+                if not disc[w]:
+                    t += 1
+                    disc[w] = low[w] = t
+                    stack.append((w, iter(nbrs[w])))
+                    break
+                if disc[w] < low[v]:
+                    low[v] = disc[w]
+            else:
+                stack.pop()
+                if stack:
+                    p = stack[-1][0]
+                    if low[v] < low[p]:
+                        low[p] = low[v]
+                    if low[v] >= disc[p]:
+                        pieces[p] += 1
+    return count, pieces
+
+
 def iter_separation_pairs(
     adj: Mapping[int, Iterable[int]], after: tuple[int, int] = (-1, -1)
 ) -> Iterator[tuple[int, int]]:
     """Lazily yield, in lexicographic order, every vertex pair above ``after``
-    whose removal disconnects the connected graph ``adj`` (vertex to
-    neighbors) on at least three vertices."""
+    whose removal disconnects the graph ``adj`` (vertex to neighbors) on at
+    least three vertices."""
     vs = sorted(adj)
-    n = len(vs)
+    index = {v: i for i, v in enumerate(vs)}
+    nbrs = [[index[w] for w in adj[v]] for v in vs]
     for i, u in enumerate(vs):
-        for v in vs[i + 1 :]:
-            if (u, v) <= after:
-                continue
-            seen = {u, v}
-            # any vertex outside the pair starts the search
-            start = vs[0] if i else (vs[2] if v == vs[1] else vs[1])
-            _reach(adj, start, seen)
-            if len(seen) < n:
-                yield (u, v)
-
-
-def _connected_without(g: Graph, removed: frozenset[int]) -> bool:
-    seen = set(removed)
-    start = next((v for v in range(g.n) if v not in seen), None)
-    if start is not None:
-        _reach(g.adj, start, seen)
-    return len(seen) == g.n
+        if u < after[0]:
+            continue
+        # G - {u, v} has count - 1 components besides the pieces v's
+        # component of G - u falls into
+        count, pieces = _pieces_left(nbrs, i)
+        for j in range(i + 1, len(vs)):
+            if count - 1 + pieces[j] >= 2 and (u, vs[j]) > after:
+                yield (u, vs[j])
 
 
 def is_connected(g: Graph) -> bool:
-    return _connected_without(g, frozenset())
+    return g.n == 0 or len(_reach(g.adj, 0, set())) == g.n
+
+
+def _connectivity(g: Graph) -> tuple[bool, list[int]]:
+    """Whether ``g`` is connected, and its cut vertices, from one lowpoint
+    search."""
+    count, pieces = _pieces_left(g.adj)
+    return count <= 1, [v for v in range(g.n) if pieces[v] >= 2]
 
 
 def cut_vertices(g: Graph) -> list[int]:
     """All vertices whose removal disconnects the graph (n >= 3)."""
-    if g.n < 3 or not is_connected(g):
+    if g.n < 3:
         return []
-    return [v for v in range(g.n) if not _connected_without(g, frozenset({v}))]
+    connected, cuts = _connectivity(g)
+    return cuts if connected else []
 
 
 def is_biconnected(g: Graph) -> bool:
     """Connected, at least three vertices, no cut vertex."""
     if g.n < 3:
         return False
-    return is_connected(g) and not cut_vertices(g)
+    connected, cuts = _connectivity(g)
+    return connected and not cuts
 
 
 @dataclass(frozen=True)
@@ -239,9 +294,9 @@ def require_biconnected(g: Graph) -> None:
     """Raise StructuralError naming a cut vertex or disconnection."""
     if g.n < 3:
         raise StructuralError(f"graph has {g.n} < 3 vertices")
-    if not is_connected(g):
+    connected, cuts = _connectivity(g)
+    if not connected:
         raise StructuralError("graph is not connected")
-    cuts = cut_vertices(g)
     if cuts:
         raise StructuralError(f"graph has a cut vertex: {cuts[0]}")
 

@@ -733,7 +733,7 @@ def _assemble(tree: spqr.SpqrTree, views: dict[int, _SkelView]) -> list[Circular
 def recognize(g: Graph) -> RecognitionOutcome:
     """Entry point: the verdict and every drawing, decided from the SPQR
     tree (graphs that are not biconnected are never maximal)."""
-    if g.n < 3 or not is_biconnected(g):
+    if not is_biconnected(g):
         return RecognitionOutcome(
             Verdict.REJECTED_NOT_BICONNECTED, "graph is not biconnected", (), ()
         )

@@ -1,8 +1,9 @@
+import sys
 from itertools import combinations
 
 import networkx as nx
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from outerfan.errors import GraphInputError
@@ -174,6 +175,79 @@ def test_separation_pair_search_resumes_after_any_pair(g):
     full = list(iter_separation_pairs(adj))
     for after in [(-1, -1), *combinations(range(g.n), 2)]:
         assert list(iter_separation_pairs(adj, after)) == [p for p in full if p > after]
+
+
+def deletion_scan(adj, after=(-1, -1)):
+    """Reference separating-pair search: delete each vertex pair above
+    ``after`` in lexicographic order and search what is left."""
+    vs = sorted(adj)
+    for u, v in combinations(vs, 2):
+        if (u, v) <= after:
+            continue
+        rest = [x for x in vs if x not in (u, v)]
+        seen = {u, v, rest[0]}
+        stack = [rest[0]]
+        while stack:
+            for y in adj[stack.pop()]:
+                if y not in seen:
+                    seen.add(y)
+                    stack.append(y)
+        if len(seen) < len(vs):
+            yield (u, v)
+
+
+@st.composite
+def sparse_adjacencies(draw, min_n=3, max_n=9):
+    """Vertex-to-neighbor-tuple mappings over sparse ids inserted in no
+    particular order, as the SPQR split builds them; any edge set, so
+    G - u is often disconnected and G itself sometimes is."""
+    ids = draw(st.lists(st.integers(0, 99), min_size=min_n, max_size=max_n, unique=True))
+    pairs = list(combinations(ids, 2))
+    picked = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs)))
+    adj = {x: [] for x in ids}
+    for a, b in picked:
+        adj[a].append(b)
+        adj[b].append(a)
+    return {x: tuple(nbrs) for x, nbrs in adj.items()}
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_adjacencies())
+# a star: G minus the centre is all isolated vertices
+@example({40: (7, 3, 12), 7: (40,), 3: (40,), 12: (40,)})
+# two triangles sharing 5: G - 5 falls apart, and G - {5, 2} leaves 1 alone
+@example({5: (1, 2, 8, 9), 1: (5, 2), 2: (1, 5), 8: (5, 9), 9: (8, 5)})
+# a triangle plus an isolated vertex: G itself is disconnected
+@example({3: (1, 2), 1: (2, 3), 2: (3, 1), 0: ()})
+def test_separation_pair_search_matches_deletion_scan(adj):
+    for after in [(-1, -1), *combinations(sorted(adj), 2)]:
+        assert list(iter_separation_pairs(adj, after)) == list(deletion_scan(adj, after))
+
+
+@st.composite
+def connected_not_biconnected(draw, max_n=12):
+    """A random tree plus random extra edges that leave a cut vertex."""
+    n = draw(st.integers(3, max_n))
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    extra = draw(st.lists(st.sampled_from(list(combinations(range(n), 2))), max_size=n))
+    g = build_graph(n, edges | set(extra))
+    assume(list(nx.articulation_points(to_nx(g))))
+    return g
+
+
+@settings(max_examples=300, deadline=None)
+@given(connected_not_biconnected())
+def test_cut_vertices_match_networkx(g):
+    assert cut_vertices(g) == sorted(nx.articulation_points(to_nx(g)))
+    assert not is_biconnected(g)
+
+
+def test_connectivity_needs_no_deep_recursion():
+    # a recursive depth-first search would go 5000 frames deep here
+    assert sys.getrecursionlimit() < 5000
+    assert cut_vertices(path_graph(5000)) == list(range(1, 4999))
+    assert is_biconnected(cycle_graph(5000))
+    assert not is_triconnected(cycle_graph(5000))
 
 
 def test_dense_graph_relabels_in_id_order():

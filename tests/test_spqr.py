@@ -132,6 +132,16 @@ def test_chords_graphs_beyond_sweep_sizes():
         assert not recognize(g).accepted
 
 
+def test_chords_graphs_at_hundreds_of_vertices():
+    rng = random.Random(909)
+    for n in (100, 200):
+        g = cycle_plus_chords(n, rng)
+        t = build_spqr(g)
+        assert verify_tree(t, g) == []
+        assert reconstruct(t) == g
+        assert not recognize(g).accepted
+
+
 def test_split_parts_gain_no_separating_pair():
     """The lemma behind the resumed pair search of a split: every pair that
     separates a split part (a component of G - p plus p and the edge p)
