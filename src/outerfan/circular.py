@@ -182,6 +182,17 @@ def drawing_key(g: Graph, order: CircularOrder) -> tuple[Edge, ...]:
     return best if best is not None else ()
 
 
+def distinct_drawings(g: Graph, orders) -> tuple[CircularOrder, ...]:
+    """One order per distinct drawing among ``orders``: the least order of
+    each :func:`drawing_key` class, sorted."""
+    if len(orders) == 1:
+        return tuple(orders)
+    reps: dict[tuple[Edge, ...], CircularOrder] = {}
+    for order in sorted(orders):
+        reps.setdefault(drawing_key(g, order), order)
+    return tuple(sorted(reps.values()))
+
+
 def format_order(order: CircularOrder) -> str:
     return " ".join(str(v) for v in order)
 

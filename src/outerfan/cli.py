@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from . import oracle, reduction
-from .circular import render_svg
+from .circular import distinct_drawings, render_svg
 from .errors import GraphInputError, SizeLimitError, StructuralError
 from .graph import load_graph, norm_edge
 from .recognizer import recognize, recognize_3connected
@@ -79,15 +79,13 @@ def cmd_recognize(args) -> int:
 
 def cmd_oracle(args) -> int:
     g = load_graph(args.graph)
-    order = oracle.outer_fan_planar_order(g, max_n=args.max_n)
+    orders = oracle.enumerate_embeddings_raw(g, max_n=args.max_n)
     report = {
         "graph": {"n": g.n, "m": g.m},
-        "outer_fan_planar": order is not None,
-        "order": list(order) if order is not None else None,
-        "maximal": oracle.is_maximal_outer_fan_planar(g, max_n=args.max_n),
-        "embeddings": [
-            list(o) for o in oracle.enumerate_embeddings(g, max_n=args.max_n)
-        ],
+        "outer_fan_planar": bool(orders),
+        "order": list(orders[0]) if orders else None,
+        "maximal": oracle.is_maximal_given(g, orders),
+        "embeddings": [list(o) for o in distinct_drawings(g, orders)],
     }
     print(json.dumps(report, indent=1, sort_keys=True))
     return EXIT_ACCEPTED

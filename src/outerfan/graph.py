@@ -342,8 +342,16 @@ def parse_edge_list(text: str) -> Graph:
     return build_graph(n, edges)
 
 
+def read_input(path: str | Path) -> str:
+    """Text of a UTF-8 input file; other bytes are a GraphInputError."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise GraphInputError(f"{path}: not UTF-8 text: {exc}") from None
+
+
 def load_graph(path: str | Path) -> Graph:
-    return parse_edge_list(Path(path).read_text(encoding="utf-8"))
+    return parse_edge_list(read_input(path))
 
 
 def format_edge_list(g: Graph) -> str:

@@ -7,34 +7,40 @@ their last quotients out both symmetries, leaving (n-1)!/2 canonical
 candidates.  The oracle scans them all; the only shortcut taken is this
 symmetry quotient, so a negative answer really means no drawing exists.
 
-Two implementations of the per-order fan-planarity test are kept: a plain
-Python bitmask scan and a vectorized numpy batch over all candidate orders.
-They are cross-checked against each other and against the readable checker
-in :mod:`outerfan.circular` by the test suite.
+One numpy kernel tests a batch of orders at once, for every n.  Each pair
+of circle positions gets a bit; an order's drawn chords, the chords crossing
+a chord and the chords missing an end of a chord are masks of
+ceil(C(n,2)/64) 64-bit words.  The canonical orders, with the positions
+each vertex pair takes in them, are built once per n up to n = 10 and
+streamed in chunks above.  One lazy scan yields the valid ones in
+lexicographic sequence: the first, all, the distinct drawings among them,
+and maximality (:func:`_maximal`) come from it.  The test suite checks the
+kernel against the readable checker in :mod:`outerfan.circular`, and
+maximality against one full scan per non-edge.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import islice, permutations
-from typing import Iterator
+from math import factorial
+from typing import Iterable, Iterator
 
 import numpy as np
 
-from .circular import CircularOrder, drawing_key
+from .circular import CircularOrder, distinct_drawings
 from .errors import SizeLimitError
 from .graph import Graph, add_edge
 
 DEFAULT_MAX_N = 12
 
-_NUMPY_MAX_N = 11  # C(11,2) = 55 pair ids fit in uint64 bit masks
-_CHUNK = 200_000
+_CHUNK = 20_000  # orders per batch
+_STORED_ORDERS = 200_000  # sizes with at most this many canonical orders keep them
+_CELLS = 1_000  # (order, edge) cells per kernel step
 
 
 def candidate_orders(n: int) -> Iterator[CircularOrder]:
     """All canonical circular orders of 0..n-1 in lexicographic sequence."""
-    if n <= 0:
-        return
     if n <= 2:
         yield tuple(range(n))
         return
@@ -43,140 +49,111 @@ def candidate_orders(n: int) -> Iterator[CircularOrder]:
             yield (0, *perm)
 
 
-# ---------------------------------------------------------------------------
-# Bitmask tables, shared by the python and numpy scan paths
-# ---------------------------------------------------------------------------
+def _order_chunks(orders: Iterable[CircularOrder], n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Orders of n vertices as int8 rows, with their :func:`_position_pairs`,
+    in chunks of up to ``_CHUNK``."""
+    orders = iter(orders)
+    while block := list(islice(orders, _CHUNK)):
+        rows = np.array(block, dtype=np.int8).reshape(len(block), n)
+        yield rows, _position_pairs(rows)
 
 
 @lru_cache(maxsize=None)
-def _tables(n: int) -> tuple[list[list[int]], list[tuple[int, int]], list[int], list[int]]:
-    """Position-pair ids plus crossing and incidence masks for n positions."""
-    pid = [[-1] * n for _ in range(n)]
-    pairs: list[tuple[int, int]] = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            pid[i][j] = pid[j][i] = len(pairs)
-            pairs.append((i, j))
-    cross = [0] * len(pairs)
-    for p, (i, j) in enumerate(pairs):
-        for q, (k, l) in enumerate(pairs):
-            if len({i, j, k, l}) < 4:
-                continue
-            if (i < k < j) != (i < l < j):
-                cross[p] |= 1 << q
-    inc = [0] * n
-    for p, (i, j) in enumerate(pairs):
-        inc[i] |= 1 << p
-        inc[j] |= 1 << p
-    return pid, pairs, cross, inc
-
-
-def order_is_fan_planar(g: Graph, order: CircularOrder) -> bool:
-    """Verdict-only fan-planarity test of one order (early abort)."""
-    n = g.n
-    if n <= 3 or g.m < 2:
-        return True
-    pid, pairs, cross, inc = _tables(n)
-    pos = [0] * n
-    for i, v in enumerate(order):
-        pos[v] = i
-    pids = [pid[pos[u]][pos[v]] for u, v in g.edges]
-    mask = 0
-    for p in pids:
-        mask |= 1 << p
-    for p in pids:
-        c = cross[p] & mask
-        if c & (c - 1):
-            a, b = pairs[(c & -c).bit_length() - 1]
-            if c & ~inc[a] and c & ~inc[b]:
-                return False
-    return True
+def _stored_chunks(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    return tuple(_order_chunks(candidate_orders(n), n))
 
 
 # ---------------------------------------------------------------------------
-# Vectorized scan
+# The kernel
 # ---------------------------------------------------------------------------
+
+
+def _pack(bits: np.ndarray) -> np.ndarray:
+    """Boolean rows of width p as rows of ceil(p/64) uint64 words, column q
+    at bit q % 64 of word q // 64."""
+    rows, p = bits.shape
+    words = -(-p // 64)
+    padded = np.zeros((rows, words * 64), dtype=np.uint64)
+    padded[:, :p] = bits
+    shifted = padded.reshape(rows, words, 64) << np.arange(64, dtype=np.uint64)
+    return shifted.sum(axis=2, dtype=np.uint64)
 
 
 @lru_cache(maxsize=None)
-def _np_tables(n: int):
-    pid, pairs, cross, inc = _tables(n)
-    pid_arr = np.array(pid, dtype=np.int64)
-    cross_arr = np.array(cross, dtype=np.uint64)
-    inc_arr = np.array(inc, dtype=np.uint64)
-    pair_a = np.array([a for a, _ in pairs], dtype=np.int64)
-    pair_b = np.array([b for _, b in pairs], dtype=np.int64)
-    return pid_arr, cross_arr, inc_arr, pair_a, pair_b
+def _masks(n: int):
+    """Tables over the C(n,2) pairs of n circle positions, numbered in
+    lexicographic order: the id of each pair of positions, then per pair its
+    own bit, the pairs whose chords cross its chord, and the pairs not
+    ending at its first and at its second position."""
+    a, b = np.triu_indices(n, 1)
+    pid = np.zeros((n, n), dtype=np.intp)
+    pid[a, b] = pid[b, a] = np.arange(len(a))
+    lo, hi = a[:, None], b[:, None]
+    miss_lo = (a != lo) & (b != lo)
+    miss_hi = (a != hi) & (b != hi)
+    crosses = miss_lo & miss_hi & (((lo < a) & (a < hi)) != ((lo < b) & (b < hi)))
+    return pid, _pack(np.eye(len(a), dtype=bool)), _pack(crosses), _pack(miss_lo), _pack(miss_hi)
 
 
-def _np_valid_chunk(g: Graph, perms: np.ndarray) -> np.ndarray:
-    """Boolean validity per order for a chunk of (n-1)-permutations."""
-    n = g.n
-    k = perms.shape[0]
+def _position_pairs(orders: np.ndarray) -> np.ndarray:
+    """Per order (row) and per vertex pair, numbered as position pairs are,
+    the id of the pair of positions the two vertices take."""
+    k, n = orders.shape
+    pos = np.empty((k, n), dtype=np.intp)
+    pos[np.arange(k)[:, None], orders] = np.arange(n)
+    a, b = np.triu_indices(n, 1)
+    return _masks(n)[0][pos[:, a], pos[:, b]].astype(np.min_scalar_type(len(a)))
+
+
+def _fan_planar(g: Graph, pairs: np.ndarray) -> np.ndarray:
+    """Per order, given by its :func:`_position_pairs` row, whether every
+    chord of g crossed more than once is crossed only by chords sharing one
+    endpoint, i.e. all ending at one endpoint of any one of them."""
+    k = len(pairs)
     if g.m < 2:
         return np.ones(k, dtype=bool)
-    pid_arr, cross_arr, inc_arr, pair_a, pair_b = _np_tables(n)
-    pos = np.zeros((k, n), dtype=np.int64)
-    pos[np.arange(k)[:, None], perms] = np.arange(1, n)[None, :]
-    edges = g.edge_list()
-    pids = np.empty((k, len(edges)), dtype=np.int64)
-    for j, (u, v) in enumerate(edges):
-        pids[:, j] = pid_arr[pos[:, u], pos[:, v]]
+    pid, bit, cross, miss_a, miss_b = _masks(g.n)
+    us, vs = np.array(g.edge_list()).T
+    chords = pairs[:, pid[us, vs]]  # (orders, edges)
+    drawn = np.bitwise_or.reduce(bit[chords], axis=1)
     one = np.uint64(1)
-    masks = np.bitwise_or.reduce(one << pids.astype(np.uint64), axis=1)
-    alive = np.ones(k, dtype=bool)
-    for j in range(len(edges)):
-        c = cross_arr[pids[:, j]] & masks
-        multi = (c & (c - one)) != 0
-        if not multi.any():
-            continue
-        low = c - (c & (c - one))
-        idx = np.zeros(k, dtype=np.int64)
-        nz = low != 0
-        idx[nz] = np.log2(low[nz].astype(np.float64)).astype(np.int64)
-        a = pair_a[idx]
-        b = pair_b[idx]
-        bad = multi & ((c & ~inc_arr[a]) != 0) & ((c & ~inc_arr[b]) != 0)
-        alive &= ~bad
-    return alive
+    alive = np.arange(k)
+    done = 0
+    # edges in steps of about _CELLS (order, edge) cells: small batches take
+    # one step, and in large ones the orders found invalid drop out early
+    while done < g.m and len(alive):
+        step = chords[alive, done : done + max(1, _CELLS // len(alive))]
+        done += step.shape[1]
+        c = (cross[step] & drawn[alive, None, :]).reshape(-1, bit.shape[1])
+        w = np.argmax(c != 0, axis=1)
+        word = c[np.arange(len(c)), w]
+        low = word - (word & (word - one))  # the least crosser's bit
+        # q is the least crosser; a chord crossed once passes the test below,
+        # and one never crossed gets q = -1 and passes too, its c being 0
+        q = w * 64 + np.frexp(low.astype(np.float64))[1] - 1
+        off_a = ((c & miss_a[q]) != 0).any(axis=1)
+        off_b = ((c & miss_b[q]) != 0).any(axis=1)
+        alive = alive[~(off_a & off_b).reshape(len(alive), -1).any(axis=1)]
+    ok = np.zeros(k, dtype=bool)
+    ok[alive] = True
+    return ok
 
 
-def _perm_chunks(n: int) -> Iterator[np.ndarray]:
-    gen = permutations(range(1, n))
-    while True:
-        block = list(islice(gen, _CHUNK))
-        if not block:
-            return
-        arr = np.array(block, dtype=np.int64)
-        yield arr[arr[:, 0] < arr[:, -1]]
+def _valid_chunks(g: Graph) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The one scan: per chunk of canonical orders, lexicographically, the
+    rows drawing g outer-fan-planar and their position pairs, if any."""
+    stored = factorial(max(g.n - 1, 1)) // 2 <= _STORED_ORDERS
+    chunks = _stored_chunks(g.n) if stored else _order_chunks(candidate_orders(g.n), g.n)
+    for orders, pairs in chunks:
+        ok = _fan_planar(g, pairs)
+        if ok.any():
+            yield orders[ok], pairs[ok]
 
 
-def _scan(g: Graph, want_all: bool) -> list[CircularOrder]:
-    """Canonical valid orders in lexicographic sequence.
-
-    With ``want_all=False`` stops at the first valid order.
-    """
-    n = g.n
-    if n <= 3:
-        order = tuple(range(n))
-        return [order] if order_is_fan_planar(g, order) else []
-    if 4 <= n <= _NUMPY_MAX_N:
-        found: list[CircularOrder] = []
-        for chunk in _perm_chunks(n):
-            alive = _np_valid_chunk(g, chunk)
-            idx = np.nonzero(alive)[0]
-            for i in idx:
-                found.append((0, *map(int, chunk[i])))
-                if not want_all:
-                    return found
-        return found
-    found = []
-    for order in candidate_orders(n):
-        if order_is_fan_planar(g, order):
-            found.append(order)
-            if not want_all:
-                return found
-    return found
+def _valid_orders(g: Graph) -> Iterator[CircularOrder]:
+    """The canonical orders drawing g outer-fan-planar, lexicographically."""
+    for orders, _ in _valid_chunks(g):
+        yield from map(tuple, orders.tolist())
 
 
 def _check_size(g: Graph, max_n: int) -> None:
@@ -195,40 +172,45 @@ def _check_size(g: Graph, max_n: int) -> None:
 def outer_fan_planar_order(g: Graph, max_n: int = DEFAULT_MAX_N) -> CircularOrder | None:
     """Lexicographically least canonical fan-planar order, or None."""
     _check_size(g, max_n)
-    found = _scan(g, want_all=False)
-    return found[0] if found else None
+    return next(_valid_orders(g), None)
 
 
 def enumerate_embeddings_raw(g: Graph, max_n: int = DEFAULT_MAX_N) -> tuple[CircularOrder, ...]:
     """Every canonical order passing the fan-planarity check, sorted."""
     _check_size(g, max_n)
-    return tuple(_scan(g, want_all=True))
+    return tuple(_valid_orders(g))
 
 
 def enumerate_embeddings(g: Graph, max_n: int = DEFAULT_MAX_N) -> tuple[CircularOrder, ...]:
-    """All distinct drawings, one canonical order per drawing.
+    """All distinct drawings, one canonical order per drawing: orders that a
+    graph automorphism relabels into each other are the same unlabeled
+    drawing, represented by its lexicographically least canonical order."""
+    return distinct_drawings(g, enumerate_embeddings_raw(g, max_n))
 
-    Orders that are relabelings of each other by a graph automorphism are the
-    same unlabeled drawing; each such class is represented by its
-    lexicographically least canonical order.
-    """
-    reps: dict[tuple, CircularOrder] = {}
-    for order in enumerate_embeddings_raw(g, max_n):
-        key = drawing_key(g, order)
-        if key not in reps:
-            reps[key] = order
-    return tuple(sorted(reps.values()))
+
+def _maximal(g: Graph, valid_pairs: Iterable[np.ndarray]) -> bool:
+    """Maximality of g from the :func:`_position_pairs` of its valid orders,
+    read chunk by chunk: g must have a valid order, and none may stay valid
+    for g + e, e a non-edge.  Every valid order of g + e is one of g's, as
+    an added edge only lengthens crossing lists and part of a fan is a fan."""
+    extended = [add_edge(g, u, v) for u, v in g.non_edges()]
+    seen = False
+    for pairs in valid_pairs:
+        if any(_fan_planar(h, pairs).any() for h in extended):
+            return False
+        seen = True
+    return seen
+
+
+def is_maximal_given(g: Graph, orders: Iterable[CircularOrder]) -> bool:
+    """Maximality of g given its valid canonical orders, as
+    :func:`enumerate_embeddings_raw` lists them."""
+    return _maximal(g, (pairs for _, pairs in _order_chunks(orders, g.n)))
 
 
 def is_maximal_outer_fan_planar(g: Graph, max_n: int = DEFAULT_MAX_N) -> bool:
     """Outer-fan-planar, and no single edge addition stays outer-fan-planar.
-
-    Every candidate edge gets its own full embedding scan; no state is
-    shared between scans, keeping the oracle trivially auditable.
-    """
-    if outer_fan_planar_order(g, max_n) is None:
-        return False
-    for u, v in g.non_edges():
-        if outer_fan_planar_order(add_edge(g, u, v), max_n) is not None:
-            return False
-    return True
+    One scan, stopped at the first order that stays valid with an edge
+    added; the test suite checks this against one full scan per non-edge."""
+    _check_size(g, max_n)
+    return _maximal(g, (pairs for _, pairs in _valid_chunks(g)))

@@ -41,6 +41,7 @@ from .circular import (
     check_outer_fan_planar,
     classify_edge,
     consecutive_run,
+    distinct_drawings,
     drawing_key,
 )
 from .errors import StructuralError
@@ -126,23 +127,12 @@ class _RawResult:
     two_hop_candidates: int = 0
 
 
-def _dedupe_drawings(g: Graph, orders) -> tuple[CircularOrder, ...]:
-    if len(orders) == 1:
-        return tuple(orders)
-    reps: dict[tuple, CircularOrder] = {}
-    for order in sorted(orders):
-        key = drawing_key(g, order)
-        if key not in reps:
-            reps[key] = order
-    return tuple(sorted(reps.values()))
-
-
 def _finish(g: Graph, raw: _RawResult) -> RecognitionOutcome:
     if raw.accepted:
         return RecognitionOutcome(
             Verdict.ACCEPTED,
             None,
-            _dedupe_drawings(g, raw.orders),
+            distinct_drawings(g, raw.orders),
             tuple(raw.trace),
             raw.path,
             raw.max_live,
@@ -737,8 +727,12 @@ def recognize(g: Graph) -> RecognitionOutcome:
         return RecognitionOutcome(
             Verdict.REJECTED_NOT_BICONNECTED, "graph is not biconnected", (), ()
         )
-    tree = spqr.build_spqr(g)
-    if len(tree.nodes) == 1 and tree.nodes[0].kind == "R":
+    return _recognize_from_tree(g, spqr.build_spqr(g))
+
+
+def _recognize_from_tree(g: Graph, tree: spqr.SpqrTree) -> RecognitionOutcome:
+    """:func:`recognize` for a biconnected g, given its SPQR tree."""
+    if tree.triconnected:
         return _finish(g, _recognize_3connected_raw(g, frozenset()))
     trace: list[str] = [f"spqr tree with {len(tree.nodes)} nodes"]
     max_live = 0
@@ -851,7 +845,7 @@ def recognize(g: Graph) -> RecognitionOutcome:
     return RecognitionOutcome(
         Verdict.ACCEPTED,
         None,
-        _dedupe_drawings(g, orders),
+        distinct_drawings(g, orders),
         tuple(trace),
         "spqr",
         max_live,

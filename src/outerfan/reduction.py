@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from pathlib import Path as FsPath
 
 from .errors import GraphInputError, StructuralError
-from .graph import Edge, Graph, build_graph, norm_edge
+from .graph import Edge, Graph, build_graph, norm_edge, read_input
 
 
 @dataclass(frozen=True)
@@ -708,7 +708,7 @@ def witness_from_json(text: str) -> WitnessDrawing:
 
 
 def load_instance(path: str | FsPath) -> ReductionInstance:
-    return instance_from_json(FsPath(path).read_text(encoding="utf-8"))
+    return instance_from_json(read_input(path))
 
 
 def save_instance(inst: ReductionInstance, path: str | FsPath) -> None:
@@ -716,7 +716,7 @@ def save_instance(inst: ReductionInstance, path: str | FsPath) -> None:
 
 
 def load_witness(path: str | FsPath) -> WitnessDrawing:
-    return witness_from_json(FsPath(path).read_text(encoding="utf-8"))
+    return witness_from_json(read_input(path))
 
 
 def save_witness(w: WitnessDrawing, path: str | FsPath) -> None:

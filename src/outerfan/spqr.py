@@ -73,6 +73,11 @@ class SpqrTree:
     nodes: tuple[SpqrNode, ...]
     tree_edges: tuple[TreeEdge, ...]
 
+    @property
+    def triconnected(self) -> bool:
+        """Whether the tree is one R node, i.e. its graph is 3-connected."""
+        return len(self.nodes) == 1 and self.nodes[0].kind == "R"
+
 
 # ---------------------------------------------------------------------------
 # Internal multigraph machinery

@@ -15,10 +15,10 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterator
 
-from . import oracle, spqr
+from . import circular, oracle, spqr
 from .circular import EdgeClass, check_outer_fan_planar, classify_edge, consecutive_run
 from .graph import Edge, Graph, build_graph, is_biconnected, norm_edge
-from .recognizer import RecognitionOutcome, recognize
+from .recognizer import _recognize_from_tree
 
 
 def all_graphs(n: int) -> Iterator[Graph]:
@@ -112,11 +112,12 @@ def _check_one(
     result: SweepResult,
     compare_embeddings: bool,
 ) -> None:
-    from .graph import is_triconnected
-
+    """Check one biconnected graph: one SPQR tree, one oracle scan."""
     result.graphs_checked += 1
-    outcome: RecognitionOutcome = recognize(g)
-    maximal = oracle.is_maximal_outer_fan_planar(g)
+    tree = spqr.build_spqr(g)
+    outcome = _recognize_from_tree(g, tree)
+    orders = oracle.enumerate_embeddings_raw(g)
+    maximal = oracle.is_maximal_given(g, orders)
     if outcome.accepted != maximal:
         result.disagreements.append(
             {
@@ -128,13 +129,13 @@ def _check_one(
             }
         )
         return
-    if oracle.outer_fan_planar_order(g) is not None:
+    if orders:
         result.ofp_graphs.append((g.n, g.m))
         if g.n >= 4 and g.m > 5 * g.n - 10:
             result.density_violations.append({"edges": g.edge_list()})
     if outcome.accepted:
         if compare_embeddings:
-            expected = oracle.enumerate_embeddings(g)
+            expected = circular.distinct_drawings(g, orders)
             if tuple(outcome.embeddings) != expected:
                 result.embedding_mismatches.append(
                     {
@@ -148,14 +149,14 @@ def _check_one(
                 edges=tuple(g.edge_list()),
                 n=g.n,
                 m=g.m,
-                triconnected_path=is_triconnected(g),
+                triconnected_path=tree.triconnected,
                 path=outcome.path,
                 embeddings=tuple(outcome.embeddings),
                 max_live_drawings=outcome.max_live_drawings,
                 two_hop_candidates=outcome.two_hop_candidates,
             )
         )
-    issues = spqr.verify_tree(spqr.build_spqr(g), g)
+    issues = spqr.verify_tree(tree, g)
     if issues:
         result.spqr_failures.append({"edges": g.edge_list(), "issues": issues})
 

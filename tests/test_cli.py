@@ -181,3 +181,21 @@ class TestMalformedInput:
         code, error = self.error_of(capsys, argv)
         assert code == 2
         assert "malformed instance JSON" in error
+
+    @pytest.mark.parametrize("command", ["recognize", "oracle"])
+    def test_graph_file_not_utf8(self, capsys, tmp_path, command):
+        bad = tmp_path / "g.txt"
+        bad.write_bytes(b"\xff\xfe 2\n")
+        code, error = self.error_of(capsys, [command, str(bad)])
+        assert code == 2
+        assert "not UTF-8" in error
+
+    def test_instance_not_utf8(self, capsys, tmp_path):
+        inst = tmp_path / "inst.json"
+        inst.write_bytes(b'{"n": \xff}')
+        wit = tmp_path / "w.json"
+        wit.write_text("{}")
+        argv = ["verify-witness", "--instance", str(inst), "--witness", str(wit)]
+        code, error = self.error_of(capsys, argv)
+        assert code == 2
+        assert "not UTF-8" in error

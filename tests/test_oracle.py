@@ -1,12 +1,14 @@
 import random
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from outerfan import oracle
 from outerfan.circular import check_outer_fan_planar, classify_edge, EdgeClass
 from outerfan.errors import SizeLimitError
 from outerfan.graph import (
+    add_edge,
     build_graph,
     complete_graph,
     complete_two_hop_graph,
@@ -14,6 +16,7 @@ from outerfan.graph import (
     is_biconnected,
     path_graph,
 )
+from outerfan.sweep import all_biconnected_graphs, grown_graph, sample_biconnected
 
 
 class TestFirstOrder:
@@ -120,25 +123,132 @@ def test_density_bound_on_accepted():
             assert g.m <= 5 * g.n - 10
 
 
+def kernel_agrees_with_checker(g, orders):
+    """The one kernel's verdict per order equals the readable checker's;
+    returns the set of verdicts seen."""
+    rows = np.array(orders, dtype=np.int8).reshape(len(orders), g.n)
+    got = oracle._fan_planar(g, oracle._position_pairs(rows)).tolist()
+    assert got == [check_outer_fan_planar(g, order).verdict for order in orders], g.edge_list()
+    return set(got)
+
+
 def test_fast_paths_agree_with_readable_checker():
-    # the bitmask scan, the vectorized scan and the quadratic checker must
-    # agree order by order
-    rng = random.Random(9)
+    # the one kernel and the quadratic checker agree order by order: on every
+    # graph on five vertices and random graphs on six to eight, on every
+    # canonical order
     pairs = list(combinations(range(5), 2))
     for mask in range(1 << 10):
         g = build_graph(5, [p for i, p in enumerate(pairs) if mask >> i & 1])
-        for order in oracle.candidate_orders(5):
-            assert oracle.order_is_fan_planar(g, order) == check_outer_fan_planar(g, order).verdict
+        kernel_agrees_with_checker(g, list(oracle.candidate_orders(5)))
+    rng = random.Random(9)
     for _ in range(60):
         n = rng.randint(6, 8)
         all_pairs = list(combinations(range(n), 2))
         m = rng.randint(n, min(len(all_pairs), 5 * n - 10))
         g = build_graph(n, rng.sample(all_pairs, m))
-        via_numpy = set(oracle.enumerate_embeddings_raw(g))
-        via_python = {
-            order for order in oracle.candidate_orders(n) if oracle.order_is_fan_planar(g, order)
-        }
-        assert via_numpy == via_python
+        kernel_agrees_with_checker(g, list(oracle.candidate_orders(n)))
+    # from n = 12 on, the C(n,2) position pairs take two 64-bit words; the
+    # pairs in the second word lie among the last positions (2 pairs at
+    # n = 12, 27 at n = 14); sampled orders of sparse random graphs, with
+    # both verdicts seen
+    for n in (12, 13, 14):
+        all_pairs = list(combinations(range(n), 2))
+        seen = set()
+        for _ in range(100):
+            g = build_graph(n, rng.sample(all_pairs, rng.randint(n, 2 * n)))
+            orders = [(0, *rng.sample(range(1, n), n - 1)) for _ in range(40)]
+            seen |= kernel_agrees_with_checker(g, orders)
+        assert seen == {True, False}
+    # n <= 3: the single canonical order 0..n-1 draws every graph without a
+    # crossing, and only the complete graphs are maximal
+    for n in range(4):
+        pairs = list(combinations(range(n), 2))
+        for mask in range(1 << len(pairs)):
+            g = build_graph(n, [p for i, p in enumerate(pairs) if mask >> i & 1])
+            assert oracle.enumerate_embeddings_raw(g) == (tuple(range(n)),)
+            assert oracle.is_maximal_outer_fan_planar(g) == (g.m == len(pairs))
+
+
+def maximal_by_full_scans(g):
+    """Maximality without the shortcut: one full scan per non-edge."""
+    if oracle.outer_fan_planar_order(g) is None:
+        return False
+    return all(oracle.outer_fan_planar_order(add_edge(g, u, v)) is None for u, v in g.non_edges())
+
+
+def test_maximality_shortcut_matches_full_scans():
+    def check(g):
+        maximal = oracle.is_maximal_outer_fan_planar(g)
+        assert maximal == maximal_by_full_scans(g), g.edge_list()
+        assert oracle.is_maximal_given(g, oracle.enumerate_embeddings_raw(g)) == maximal
+        return maximal
+
+    for n in range(3, 7):
+        for g in all_biconnected_graphs(n):
+            check(g)
+    # random graphs at seven to nine vertices are rarely maximal, so grown
+    # graphs, which are, join the sample
+    rng = random.Random(78)
+    for n in (7, 8):
+        sample = [sample_biconnected(n, rng) for _ in range(150)]
+        seen = {check(g) for g in sample + [grown_graph(n, rng) for _ in range(10)]}
+        assert seen == {True, False}
+
+
+def test_results_do_not_depend_on_chunk_size(monkeypatch):
+    """With one order per chunk, the scan and maximality cross a chunk
+    border at every order; every public result must stay the same."""
+    # no edge can be added to this graph's least valid order, but one can
+    # be to a later one: maximality must not stop at the first chunk
+    saturated_first = build_graph(7, [
+        (0, 1), (0, 2), (0, 3), (0, 5), (0, 6), (1, 3), (1, 5),
+        (2, 3), (2, 5), (2, 6), (3, 4), (3, 5), (4, 5), (5, 6),
+    ])
+    orders = oracle.enumerate_embeddings_raw(saturated_first)
+    assert oracle.is_maximal_given(saturated_first, orders[:1])
+    rng = random.Random(79)
+    graphs = [sample_biconnected(n, rng) for n in (5, 6, 7) for _ in range(15)]
+    graphs += [grown_graph(n, rng) for n in (6, 7) for _ in range(3)]
+    graphs.append(saturated_first)
+
+    def results():
+        return [
+            (
+                oracle.outer_fan_planar_order(g),
+                oracle.enumerate_embeddings_raw(g),
+                oracle.is_maximal_outer_fan_planar(g),
+                oracle.is_maximal_given(g, oracle.enumerate_embeddings_raw(g)),
+            )
+            for g in graphs
+        ]
+
+    expected = results()
+    assert expected[-1][2:] == (False, False)
+    assert {r[2] for r in expected} == {True, False}
+    monkeypatch.setattr(oracle, "_CHUNK", 1)
+    oracle._stored_chunks.cache_clear()
+    try:
+        assert results() == expected
+    finally:
+        oracle._stored_chunks.cache_clear()
+
+
+def test_maximality_stops_at_the_first_order_valid_with_an_edge_added(monkeypatch):
+    """Graphs that are outer-fan-planar but not maximal are settled in the
+    first chunk of orders; a full scan at twelve vertices takes ~20 M."""
+    real = oracle._order_chunks
+    drawn = []
+
+    def counting(orders, n):
+        for chunk in real(orders, n):
+            drawn.append(n)
+            yield chunk
+
+    monkeypatch.setattr(oracle, "_order_chunks", counting)
+    for g in (cycle_graph(12), path_graph(12), build_graph(12, [])):
+        drawn.clear()
+        assert not oracle.is_maximal_outer_fan_planar(g)
+        assert drawn == [12]
 
 
 def test_enumerate_contains_only_valid_orders():

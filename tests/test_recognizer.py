@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from outerfan import graph, oracle, recognizer, spqr
+from outerfan import graph, oracle, recognizer, spqr, sweep
 from outerfan.circular import EdgeClass, check_outer_fan_planar, classify_edge
 from outerfan.errors import StructuralError
 from outerfan.graph import (
@@ -429,3 +429,30 @@ def test_recognize_builds_one_tree_and_tests_no_triconnectivity(monkeypatch):
     calls.update(build_spqr=0, is_triconnected=0)
     recognize(path_graph(5))
     assert calls == {"build_spqr": 0, "is_triconnected": 0}
+
+
+def test_sweep_checks_the_tree_recognition_used(monkeypatch):
+    """The sweep builds one SPQR tree per graph, hands that tree to
+    ``verify_tree``, and reads the 3-connected path from it."""
+    real_build, real_verify = spqr.build_spqr, spqr.verify_tree
+    built, verified = [], []
+
+    def counting_build(g):
+        built.append(real_build(g))
+        return built[-1]
+
+    def recording_verify(tree, g):
+        verified.append(tree)
+        return real_verify(tree, g)
+
+    monkeypatch.setattr(spqr, "build_spqr", counting_build)
+    monkeypatch.setattr(spqr, "verify_tree", recording_verify)
+    result = sweep.run_exhaustive_sweep(max_n=5)
+    result_random = sweep.run_random_sweep(sizes=(6, 7), samples_per_size=40, seed=3)
+    checked = result.graphs_checked + result_random.graphs_checked
+    assert len(built) == checked
+    assert all(t is b for t, b in zip(verified, built)) and len(verified) == checked
+    records = result.accepted + result_random.accepted
+    assert {rec.triconnected_path for rec in records} == {True, False}
+    for rec in records:
+        assert rec.triconnected_path == is_triconnected(build_graph(rec.n, rec.edges))
