@@ -7,8 +7,10 @@ every graph of the first corpus, of biconnected graphs, for four outputs:
 ``recognize(g).to_json_dict()``, ``tree_to_json(build_spqr(g))``,
 ``is_triconnected(g)`` and ``separation_pairs(g)``; and on every graph of
 the second, of connected graphs with a cut vertex, for ``is_biconnected(g)``
-and ``cut_vertices(g)``.  Use it to show that a refactor changes no verdict,
-embedding, trace, tree or cut vertex:
+and ``cut_vertices(g)``; and on every graph of the third, of sparse
+biconnected graphs, for ``tree_to_json(build_spqr(g))`` and
+``recognize(g).to_json_dict()``.  Use it to show that a refactor changes no
+verdict, embedding, trace, tree or cut vertex:
 
     PYTHONPATH=src python scripts/outcome_digest.py
 
@@ -20,7 +22,11 @@ import ``outerfan``, so the inputs do not depend on the code under test).
 The second, drawn with its own ``random.Random(20261019)``: for each
 n = 3..30, 10 random trees, then 10 random connected graphs made of two
 random connected sides glued at one cut vertex; this script draws them
-without ``outerfan`` either.
+without ``outerfan`` either.  The third, drawn with its own
+``random.Random(20261020)``: for each n = 4..16, 100 graphs, each redrawn
+(edge count uniform in n .. min(2n + 2, n(n-1)/2), then the edges) until
+``gen.is_biconnected`` holds.  About half of them have a parallel node with
+several virtual edges, whose order in the tree this corpus pins down.
 """
 
 from __future__ import annotations
@@ -30,6 +36,7 @@ import json
 import random
 import sys
 import time
+from itertools import combinations
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -49,6 +56,7 @@ from outerfan.sweep import all_biconnected_graphs  # noqa: E402
 
 SEED = 20261018
 CUT_SEED = 20261019
+SPQR_SEED = 20261020
 
 
 def corpus():
@@ -113,6 +121,25 @@ def cut_outputs(g) -> str:
     return json.dumps([g.edge_list(), is_biconnected(g), cut_vertices(g)])
 
 
+def spqr_corpus():
+    rng = random.Random(SPQR_SEED)
+    for n in range(4, 17):
+        pairs = list(combinations(range(n), 2))
+        for _ in range(100):
+            while True:
+                edges = rng.sample(pairs, rng.randint(n, min(2 * n + 2, len(pairs))))
+                if gen.is_biconnected(n, edges):
+                    break
+            yield build_graph(n, edges)
+
+
+def spqr_outputs(g) -> str:
+    return json.dumps(
+        [g.edge_list(), tree_to_json(build_spqr(g)), recognize(g).to_json_dict()],
+        sort_keys=True,
+    )
+
+
 def digest_lines(label: str, graphs, render) -> None:
     digest = hashlib.sha256()
     count = 0
@@ -128,6 +155,7 @@ def main() -> int:
     t0 = time.perf_counter()
     digest_lines("", corpus(), outputs)
     digest_lines("cut ", cut_corpus(), cut_outputs)
+    digest_lines("spqr ", spqr_corpus(), spqr_outputs)
     print(f"seconds {time.perf_counter() - t0:.1f}", file=sys.stderr)
     return 0
 

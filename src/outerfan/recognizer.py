@@ -532,7 +532,6 @@ def is_porous(
 
 @dataclass
 class _SkelView:
-    node_id: int
     kind: str
     graph: Graph
     to_orig: list[int]
@@ -552,9 +551,7 @@ def _skeleton_view(node: spqr.SpqrNode) -> _SkelView:
             norm_edge(relabel[e.u], relabel[e.v]) for e in node.edges if e.kind == kind
         )
 
-    return _SkelView(
-        node.id, node.kind, graph, list(relabel), dense("virtual"), dense("real")
-    )
+    return _SkelView(node.kind, graph, list(relabel), dense("virtual"), dense("real"))
 
 
 def _p_node_violation(g1: _SkelView, g2: _SkelView, s_t: Edge) -> str | None:
@@ -608,34 +605,28 @@ def _p_node_violation(g1: _SkelView, g2: _SkelView, s_t: Edge) -> str | None:
     return None
 
 
-def _assemble(tree: spqr.SpqrTree, views: dict[int, _SkelView]) -> list[CircularOrder]:
+def _assemble(
+    views: dict[int, _SkelView], tree_adj: dict[int, list[tuple[int, Edge]]]
+) -> list[CircularOrder]:
     """Merge skeleton drawings at virtual edges into drawings of the graph.
 
     Each subtree hanging off a virtual edge {s, t} contributes linear
     sequences of its interior vertices, read from s to t; the parent splices
     them into its own gap between s and t, in both orientations.
     """
-    tree_adj: dict[int, list[tuple[int, Edge, int]]] = {nid: [] for nid in views}
-    for te in tree.tree_edges:
-        if te.x in tree_adj and te.y in tree_adj:
-            tree_adj[te.x].append((te.y, norm_edge(te.u, te.v), te.id))
-            tree_adj[te.y].append((te.x, norm_edge(te.u, te.v), te.id))
 
     def node_drawings(nid: int) -> list[CircularOrder]:
+        # a rigid or series node; a series node is a triangle by now
         view = views[nid]
         if view.kind == "R":
             return [view.orig_order(d) for d in view.drawings]
-        if view.kind == "S":
-            return [tuple(sorted(view.to_orig))]
-        if view.kind == "P":
-            return [tuple(sorted(view.to_orig))]
-        return []
+        return [tuple(sorted(view.to_orig))]
 
     def splice(
         base: CircularOrder, nid: int, parent: int | None
     ) -> list[CircularOrder]:
         out = [list(base)]
-        for child, poles, _tid in sorted(tree_adj[nid]):
+        for child, poles in sorted(tree_adj[nid]):
             if parent is not None and child == parent:
                 continue
             if views[child].kind == "Q":
@@ -670,13 +661,13 @@ def _assemble(tree: spqr.SpqrTree, views: dict[int, _SkelView]) -> list[Circular
         result: set[tuple[int, ...]] = set()
         if view.kind == "P":
             inner = [
-                (child, p, tid)
-                for child, p, tid in tree_adj[nid]
+                (child, p)
+                for child, p in tree_adj[nid]
                 if child != parent and views[child].kind != "Q"
             ]
             if len(inner) != 1:
                 return []
-            child, child_poles, _ = inner[0]
+            child, child_poles = inner[0]
             for interior in subtree_interiors(child, nid, child_poles):
                 result.add(interior)
             return sorted(result)
@@ -701,14 +692,10 @@ def _assemble(tree: spqr.SpqrTree, views: dict[int, _SkelView]) -> list[Circular
     results: set[CircularOrder] = set()
     view = views[root]
     if view.kind == "P":
-        inner = [
-            (child, p, tid)
-            for child, p, tid in tree_adj[root]
-            if views[child].kind != "Q"
-        ]
+        inner = [(child, p) for child, p in tree_adj[root] if views[child].kind != "Q"]
         if len(inner) != 2:
             return []
-        (c1, p1, _), (c2, p2, _) = inner
+        (c1, p1), (c2, p2) = inner
         s, t = p1
         for i1 in subtree_interiors(c1, root, p1):
             for i2 in subtree_interiors(c2, root, (t, s)):
@@ -756,6 +743,12 @@ def _recognize_from_tree(g: Graph, tree: spqr.SpqrTree) -> RecognitionOutcome:
 
     views = {n.id: _skeleton_view(n) for n in tree.nodes}
     kinds = {n.id: n.kind for n in tree.nodes}
+    # node to its tree neighbors with their poles, in tree edge order
+    tree_adj: dict[int, list[tuple[int, Edge]]] = {n.id: [] for n in tree.nodes}
+    for te in tree.tree_edges:
+        poles = norm_edge(te.u, te.v)
+        tree_adj[te.x].append((te.y, poles))
+        tree_adj[te.y].append((te.x, poles))
 
     # rigid skeletons (3-connected by construction) must be maximal with all
     # virtual edges on the outer face
@@ -791,16 +784,10 @@ def _recognize_from_tree(g: Graph, tree: spqr.SpqrTree) -> RecognitionOutcome:
         if node.kind == "S":
             views[node.id].drawings = [tuple(range(3))]
 
-    q_neighbors: dict[int, list[int]] = {n.id: [] for n in tree.nodes}
-    for te in tree.tree_edges:
-        if kinds[te.x] == "Q":
-            q_neighbors[te.y].append(te.x)
-        if kinds[te.y] == "Q":
-            q_neighbors[te.x].append(te.y)
     for node in tree.nodes:
         if node.kind != "P":
             continue
-        if len(node.edges) != 3 or not q_neighbors[node.id]:
+        if len(node.edges) != 3 or all(kinds[y] != "Q" for y, _ in tree_adj[node.id]):
             return reject(
                 Verdict.REJECTED_STRUCTURE,
                 f"parallel node {node.id} needs exactly three edges, one real",
@@ -809,14 +796,7 @@ def _recognize_from_tree(g: Graph, tree: spqr.SpqrTree) -> RecognitionOutcome:
     for node in tree.nodes:
         if node.kind != "P":
             continue
-        sides = []
-        for te in tree.tree_edges:
-            if node.id not in (te.x, te.y):
-                continue
-            other = te.y if te.x == node.id else te.x
-            if kinds[other] == "Q":
-                continue
-            sides.append((views[other], norm_edge(te.u, te.v)))
+        sides = [(views[y], poles) for y, poles in tree_adj[node.id] if kinds[y] != "Q"]
         if len(sides) != 2:
             return reject(
                 Verdict.REJECTED_STRUCTURE,
@@ -834,7 +814,7 @@ def _recognize_from_tree(g: Graph, tree: spqr.SpqrTree) -> RecognitionOutcome:
                 f"parallel node {node.id}: edge addable across poles ({reason})",
             )
 
-    orders = _assemble(tree, views)
+    orders = _assemble(views, tree_adj)
     orders = [o for o in orders if check_outer_fan_planar(g, o).verdict]
     if not orders:
         return reject(

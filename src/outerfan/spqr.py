@@ -1,19 +1,27 @@
 """SPQR-tree decomposition of biconnected graphs.
 
-The tree is built by repeated splitting at separation pairs of an internal
-multigraph: each split replaces the pair's edge classes by virtual edges and
-recurses, and adjacent series-series or parallel-parallel components are
-contracted afterwards.  That fixpoint is the classical unique decomposition
-into series (cycle), parallel (edge bundle) and rigid (3-connected) nodes.
+The tree is built in three flat passes, none of which recurses, so trees
+thousands of nodes deep build at the default recursion limit.  The split
+pass takes components off an explicit worklist and cuts each at its first
+separation pair: every edge class of the pair becomes a part, closed by a
+virtual edge on the pair.  Two parts and no real edge on the pair share one
+link; otherwise the real edge and one virtual edge per part form a central
+bond.  A cycle becomes a series skeleton and a component with no separation
+pair a rigid one.  The merge pass contracts series-series and
+parallel-parallel links with one union-find pass, which gives the classical
+unique decomposition into series (cycle), parallel (edge bundle) and rigid
+(3-connected) nodes.  The numbering pass orders nodes and tree edges
+canonically and builds each node once.
+
 Each split decides its skeleton's kind once, from one call of the package's
 shared, early-exit separating-pair search
-(:func:`outerfan.graph.iter_separation_pairs`): a component with no split
-pair is rigid.  The split parts resume that search above the pair the
-split chose, since no pair up to it separates any part, so a pair found
-not to separate is never tested again further down.  The search runs one
-iterative lowpoint depth-first search per vertex, O(n (n + m)) per
-component, which keeps the construction small and auditable while sizes in
-the hundreds of vertices take well under a second.
+(:func:`outerfan.graph.iter_separation_pairs`).  The split parts resume that
+search above the pair the split chose, since no pair up to it separates any
+part, so a pair found not to separate is never tested again further down.
+The search runs one iterative lowpoint depth-first search per vertex,
+O(n (n + m)) per component, and each split re-scans the component it cuts,
+so a chain of splits costs depth times size: a 2 x 400 ladder takes about a
+second.
 
 Representation choice: real edges live inside the S/P/R skeletons they
 belong to.  A parallel node's real edge additionally gets an explicit
@@ -80,43 +88,31 @@ class SpqrTree:
 
 
 # ---------------------------------------------------------------------------
-# Internal multigraph machinery
+# Construction: split, merge, number
 # ---------------------------------------------------------------------------
-
-# an edge is (u, v, kind, link): kind "real" carries link None, kind
-# "virtual" carries the split id it pairs with
 
 
 class _MEdge:
-    __slots__ = ("u", "v", "kind", "link")
+    """A skeleton edge under construction: ``pair`` is its normalized
+    endpoint pair.  A real edge carries link None until it gets a Q leaf; a
+    virtual edge carries the id of the link it shares with one other
+    skeleton."""
 
-    def __init__(self, u: int, v: int, kind: str, link: int | None):
-        self.u, self.v, self.kind, self.link = u, v, kind, link
+    __slots__ = ("pair", "kind", "link")
 
-    def pair(self) -> Edge:
-        return norm_edge(self.u, self.v)
+    def __init__(self, pair: Edge, kind: str, link: int | None):
+        self.pair, self.kind, self.link = pair, kind, link
 
 
 def _vertices(edges: list[_MEdge]) -> set[int]:
     vs: set[int] = set()
     for e in edges:
-        vs.add(e.u)
-        vs.add(e.v)
+        vs.update(e.pair)
     return vs
 
 
-def _adjacency(edges: list[_MEdge]) -> dict[int, tuple[int, ...]]:
-    adj: dict[int, set[int]] = {}
-    for e in edges:
-        adj.setdefault(e.u, set()).add(e.v)
-        adj.setdefault(e.v, set()).add(e.u)
-    # the pair search walks these lists once per pair; a set grown by adds
-    # keeps a sparse table that is slower to walk than a tuple
-    return {x: tuple(nbrs) for x, nbrs in adj.items()}
-
-
-def _is_cycle(edges: list[_MEdge], adj: dict[int, tuple[int, ...]]) -> bool:
-    # with as many edges as vertices, all simple degrees 2 rules out parallels
+def _is_cycle(edges: list[_MEdge], adj: dict[int, list[int]]) -> bool:
+    # components are simple: as many edges as vertices, all of degree 2
     return (
         len(edges) == len(adj) >= 3
         and all(len(nbrs) == 2 for nbrs in adj.values())
@@ -124,176 +120,165 @@ def _is_cycle(edges: list[_MEdge], adj: dict[int, tuple[int, ...]]) -> bool:
     )
 
 
-def _has_parallel(edges: list[_MEdge]) -> Edge | None:
-    seen: set[Edge] = set()
-    for e in sorted(edges, key=lambda e: e.pair()):
-        p = e.pair()
-        if p in seen:
-            return p
-        seen.add(p)
-    return None
+def _find_split_pair(adj: dict[int, list[int]], after: Edge) -> Edge | None:
+    """The first separating pair of a component in which no pair up to
+    ``after`` separates; None if it is 3-connected."""
+    return next(iter_separation_pairs(adj, after), None)
 
 
-def _find_split_pair(
-    edges: list[_MEdge], adj: dict[int, tuple[int, ...]], after: Edge
-) -> Edge | None:
-    """The least of the least parallel pair and the first separating pair,
-    given that no pair up to ``after`` separates the component."""
-    found = [_has_parallel(edges), next(iter_separation_pairs(adj, after), None)]
-    return min((p for p in found if p is not None), default=None)
+def _split(g: Graph) -> tuple[list[tuple[str, list[_MEdge]]], int]:
+    """Split a biconnected graph into kinded skeletons with an explicit
+    worklist; returns the skeletons and the number of links made.
 
-
-class _Decomposition:
-    def __init__(self) -> None:
-        self.skeletons: list[tuple[str, list[_MEdge]]] = []
-        self.next_link = 0
-
-    def new_link(self) -> int:
-        self.next_link += 1
-        return self.next_link - 1
-
-    def split(self, edges: list[_MEdge], after: Edge = (-1, -1)) -> None:
-        """Split the component ``edges``, in which no pair up to ``after``
-        separates; its parts resume the pair search above the chosen pair."""
-        adj = _adjacency(edges)
-        if len(adj) == 2:
-            self.skeletons.append(("P", edges))  # bond
-            return
+    A work item ``(edges, adj, after, bond)`` is a component and its
+    adjacency, in which no pair up to ``after`` separates; its parts resume
+    the pair search above the pair it is split at.  A part that hangs from
+    a central ``bond`` takes its link when it leaves the worklist, so links
+    are numbered depth first.  Every part is simple, its one edge on the
+    split pair being virtual, so its adjacency is the parent's cut down.
+    Skeletons are recorded in any order: the numbering pass sorts them.
+    """
+    skeletons: list[tuple[str, list[_MEdge]]] = []
+    links = 0
+    edges = [_MEdge(p, "real", None) for p in g.edge_list()]
+    work: list[tuple[list[_MEdge], dict[int, list[int]], Edge, list[_MEdge] | None]] = [
+        (edges, {x: list(nbrs) for x, nbrs in enumerate(g.adj)}, (-1, -1), None)
+    ]
+    while work:
+        edges, adj, after, bond = work.pop()
+        if bond is not None:
+            bond.append(_MEdge(after, "virtual", links))
+            edges.append(_MEdge(after, "virtual", links))
+            links += 1
         if _is_cycle(edges, adj):
-            self.skeletons.append(("S", edges))
-            return
-        pair = _find_split_pair(edges, adj, after)
+            skeletons.append(("S", edges))
+            continue
+        pair = _find_split_pair(adj, after)
         if pair is None:
             if len(adj) < 4:
                 raise StructuralError("no split pair in a non-atomic component")
-            self.skeletons.append(("R", edges))
-            return
-        u, v = pair
-        singles = [e for e in edges if e.pair() == (u, v)]
-        classes: list[list[_MEdge]] = [
-            [e for e in edges if (e.u in comp or e.v in comp)]
-            for comp in components(adj, (u, v))
-        ]
-        if len(singles) + len(classes) < 2:
-            raise StructuralError("degenerate split")
-        if not singles and len(classes) == 2:
-            link = self.new_link()
-            for cls in classes:
-                self.split(cls + [_MEdge(u, v, "virtual", link)], pair)
-            return
-        # central bond absorbs every parallel edge and one virtual edge per
-        # component class
-        central: list[_MEdge] = list(singles)
-        for cls in classes:
-            link = self.new_link()
-            central.append(_MEdge(u, v, "virtual", link))
-            self.split(cls + [_MEdge(u, v, "virtual", link)], pair)
-        self.skeletons.append(("P", central))
+            skeletons.append(("R", edges))
+            continue
+        comps = components(adj, pair)
+        side = {x: i for i, comp in enumerate(comps) for x in comp}
+        central: list[_MEdge] = []  # the real edge on the pair, if any
+        classes: list[list[_MEdge]] = [[] for _ in comps]
+        for e in edges:
+            u, v = e.pair
+            if e.pair == pair:
+                central.append(e)
+            else:
+                classes[side[u] if u in side else side[v]].append(e)
+        # a part's vertices keep their neighbors; each pole keeps those in
+        # the part and gains the other pole
+        parts = []
+        for comp in comps:
+            part = {x: adj[x] for x in comp}
+            for p, q in (pair, pair[::-1]):
+                part[p] = [y for y in adj[p] if y in comp] + [q]
+            parts.append(part)
+        if not central and len(classes) == 2:
+            work += [
+                (cls + [_MEdge(pair, "virtual", links)], part, pair, None)
+                for cls, part in zip(classes, parts)
+            ][::-1]
+            links += 1
+            continue
+        # a central bond of the real edge and one virtual edge per class
+        skeletons.append(("P", central))
+        work += [(cls, part, pair, central) for cls, part in zip(classes, parts)][::-1]
+    return skeletons, links
 
 
 def _merge_same_kind(
     skeletons: list[tuple[str, list[_MEdge]]],
 ) -> list[tuple[str, list[_MEdge]]]:
-    """Contract series-series and parallel-parallel adjacencies; a merged
-    skeleton keeps its kind (two cycles make a cycle, two bonds a bond)."""
-    work = [(kind, list(s)) for kind, s in skeletons]
-    changed = True
-    while changed:
-        changed = False
-        owners: dict[int, list[int]] = {}
-        for idx, (_kind, skel) in enumerate(work):
-            for e in skel:
-                if e.kind == "virtual":
-                    owners.setdefault(e.link, []).append(idx)
-        for link, owner in sorted(owners.items()):
-            if len(owner) != 2:
-                raise StructuralError(f"virtual pair {link} not shared by two nodes")
-            a, b = owner
-            if a == b:
-                raise StructuralError(f"virtual pair {link} inside one node")
-            (ka, sa), (kb, sb) = work[a], work[b]
-            if ka == kb and ka in ("S", "P"):
-                merged = [e for e in sa + sb if not (e.kind == "virtual" and e.link == link)]
-                work[a] = (ka, merged)
-                del work[b]
-                changed = True
-                break
-    return work
+    """Contract series-series and parallel-parallel links in one union-find
+    pass over the virtual links: a merged S stays an S (two cycles make a
+    cycle) and a merged P a P (two bonds a bond), so no merge enables
+    another."""
+    owners: dict[int, list[int]] = {}
+    for idx, (_kind, skel) in enumerate(skeletons):
+        for e in skel:
+            if e.kind == "virtual":
+                owners.setdefault(e.link, []).append(idx)
+    root = list(range(len(skeletons)))
+
+    def find(x: int) -> int:
+        while root[x] != x:
+            root[x] = root[root[x]]
+            x = root[x]
+        return x
+
+    contracted: set[int] = set()
+    for link, owner in owners.items():
+        if len(owner) != 2:
+            raise StructuralError(f"virtual pair {link} not shared by two nodes")
+        a, b = owner
+        if a == b:
+            raise StructuralError(f"virtual pair {link} inside one node")
+        if skeletons[a][0] == skeletons[b][0] in ("S", "P"):
+            root[find(b)] = find(a)
+            contracted.add(link)
+    merged: dict[int, tuple[str, list[_MEdge]]] = {}
+    for idx, (kind, skel) in enumerate(skeletons):
+        merged.setdefault(find(idx), (kind, []))[1].extend(
+            e for e in skel if e.link not in contracted
+        )
+    return list(merged.values())
 
 
 def build_spqr(g: Graph) -> SpqrTree:
     """Unique SPQR tree of a biconnected graph, deterministic node order."""
     require_biconnected(g)
-    dec = _Decomposition()
-    dec.split([_MEdge(u, v, "real", None) for u, v in g.edge_list()])
+    skeletons, links = _split(g)
+    return _number(_merge_same_kind(skeletons), links)
+
+
+def _number(record: list[tuple[str, list[_MEdge]]], links: int) -> SpqrTree:
+    """The tree of the merged skeletons, each node built once with its final
+    tree edge ids; links up to ``links`` are in use."""
     # materialize Q leaves for the real edge of each parallel skeleton
-    record = _merge_same_kind(dec.skeletons)
-    q_nodes: list[tuple[str, list[_MEdge]]] = []
-    next_link = dec.next_link
+    q_edges = [e for kind, skel in record if kind == "P" for e in skel if e.kind == "real"]
+    for link, e in enumerate(q_edges, links):
+        e.link = link
+        record.append(("Q", [_MEdge(e.pair, "real", link)]))
+
+    # deterministic ordering: nodes by smallest contained vertex, then
+    # shape; tree edges by their two nodes and poles
+    keyed = []
     for kind, skel in record:
-        if kind != "P":
-            continue
-        for e in skel:
-            if e.kind == "real":
-                e.link = next_link
-                q_nodes.append(
-                    ("Q", [_MEdge(e.u, e.v, "real", next_link)])
-                )
-                next_link += 1
-    record += q_nodes
-
-    # deterministic ordering: sort by smallest contained vertex, then shape
-    def sort_key(item):
-        kind, skel = item
         vs = sorted(_vertices(skel))
-        return (vs[0], vs, kind, sorted((e.pair(), e.kind) for e in skel))
-
-    record.sort(key=sort_key)
-
-    nodes: list[SpqrNode] = []
-    link_owner: dict[int, list[tuple[int, Edge]]] = {}
-    for nid, (kind, skel) in enumerate(record):
-        edges = tuple(
-            SkeletonEdge(*e.pair(), kind=e.kind, link=e.link)
-            for e in sorted(skel, key=lambda e: (e.pair(), e.kind, e.link if e.link is not None else -1))
-        )
-        nodes.append(SpqrNode(nid, kind, tuple(sorted(_vertices(skel))), edges))
+        keyed.append(((vs[0], vs, kind, sorted((e.pair, e.kind) for e in skel)), kind, skel))
+    keyed.sort(key=lambda item: item[0])
+    ends: dict[int, list[tuple[int, Edge]]] = {}
+    for nid, (_key, _kind, skel) in enumerate(keyed):
         for e in skel:
             if e.link is not None:
-                link_owner.setdefault(e.link, []).append((nid, e.pair()))
-
-    tree_edges = []
-    for _link, owner in sorted(link_owner.items()):
+                ends.setdefault(e.link, []).append((nid, e.pair))
+    spans = []
+    for link, owner in ends.items():
         if len(owner) != 2:
             raise StructuralError("dangling virtual pair after assembly")
-        (x, pu), (y, pv) = sorted(owner)
+        (x, pu), (y, pv) = owner
         if pu != pv:
             raise StructuralError("paired skeleton edges disagree on endpoints")
-        tree_edges.append((x, y, pu))
-    tree_edges.sort()
-    tes = tuple(
-        TreeEdge(tid, x, y, p[0], p[1]) for tid, (x, y, p) in enumerate(tree_edges)
-    )
-
-    # remap links to the final tree edge ids
-    pair_to_tid: dict[tuple[int, int, Edge], int] = {}
-    for te in tes:
-        pair_to_tid[(te.x, te.y, (te.u, te.v))] = te.id
-    final_nodes = []
-    # rebuild skeleton edges with tree edge ids as links
-    link_map: dict[int, int] = {}
-    for link, owner in link_owner.items():
-        (x, pu), (y, _pv) = sorted(owner)
-        link_map[link] = pair_to_tid[(x, y, pu)]
-    for node in nodes:
-        new_edges = tuple(
-            SkeletonEdge(
-                e.u, e.v, e.kind, link_map[e.link] if e.link is not None else None
-            )
-            for e in node.edges
+        spans.append((x, y, pu, link))
+    spans.sort()
+    tid = {link: i for i, (_x, _y, _p, link) in enumerate(spans)}
+    nodes = tuple(
+        SpqrNode(
+            nid,
+            kind,
+            tuple(key[1]),
+            tuple(
+                SkeletonEdge(*e.pair, kind=e.kind, link=tid.get(e.link))
+                for e in sorted(skel, key=lambda e: (e.pair, e.kind, -1 if e.link is None else e.link))
+            ),
         )
-        final_nodes.append(SpqrNode(node.id, node.kind, node.vertices, new_edges))
-    return SpqrTree(tuple(final_nodes), tes)
+        for nid, (key, kind, skel) in enumerate(keyed)
+    )
+    return SpqrTree(nodes, tuple(TreeEdge(i, x, y, *p) for i, (x, y, p, _) in enumerate(spans)))
 
 
 # ---------------------------------------------------------------------------
@@ -437,20 +422,29 @@ def verify_tree(t: SpqrTree, g: Graph) -> list[str]:
         else:
             issues.append(f"node {node.id}: unknown kind {node.kind}")
 
-    degree: dict[int, int] = {n.id: 0 for n in t.nodes}
     for te in t.tree_edges:
-        degree[te.x] += 1
-        degree[te.y] += 1
         kx, ky = kinds[te.x], kinds[te.y]
         if kx == ky and kx in ("S", "P"):
             issues.append(f"tree edge {te.id}: adjacent {kx} nodes")
 
+    adj: dict[int, list[tuple[int, int]]] = {n.id: [] for n in t.nodes}
+    for te in t.tree_edges:
+        adj[te.x].append((te.y, te.id))
+        adj[te.y].append((te.x, te.id))
+
+    def side(start: int, cut: int) -> set[int]:
+        """The nodes reachable from ``start`` without crossing tree edge ``cut``."""
+        seen = {start}
+        stack = [start]
+        while stack:
+            for y, tid in adj[stack.pop()]:
+                if tid != cut and y not in seen:
+                    seen.add(y)
+                    stack.append(y)
+        return seen
+
     if len(t.nodes) > 1:
-        adj: dict[int, set[int]] = {n.id: set() for n in t.nodes}
-        for te in t.tree_edges:
-            adj[te.x].add(te.y)
-            adj[te.y].add(te.x)
-        if len(components(adj)) != 1:
+        if len(side(t.nodes[0].id, -1)) != len(t.nodes):
             issues.append("tree is not connected")
         if len(t.tree_edges) != len(t.nodes) - 1:
             issues.append("tree edge count is not node count minus one")
@@ -464,26 +458,14 @@ def verify_tree(t: SpqrTree, g: Graph) -> list[str]:
 
     # separation semantics: the two sides of each non-Q tree edge share only
     # the virtual pair's endpoints
-    adj2: dict[int, set[tuple[int, int]]] = {n.id: set() for n in t.nodes}
-    for te in t.tree_edges:
-        adj2[te.x].add((te.y, te.id))
-        adj2[te.y].add((te.x, te.id))
-    node_by_id = {n.id: n for n in t.nodes}
     for te in t.tree_edges:
         if kinds[te.x] == "Q" or kinds[te.y] == "Q":
             continue
-        side = {te.x}
-        stack = [te.x]
-        while stack:
-            x = stack.pop()
-            for y, tid in adj2[x]:
-                if tid != te.id and y not in side:
-                    side.add(y)
-                    stack.append(y)
+        near = side(te.x, te.id)
         vs_a: set[int] = set()
         vs_b: set[int] = set()
-        for n_ in t.nodes:
-            (vs_a if n_.id in side else vs_b).update(node_by_id[n_.id].vertices)
+        for node in t.nodes:
+            (vs_a if node.id in near else vs_b).update(node.vertices)
         shared = vs_a & vs_b
         if not shared <= {te.u, te.v}:
             issues.append(

@@ -1,4 +1,6 @@
 import random
+import re
+import sys
 from itertools import combinations
 
 import pytest
@@ -15,6 +17,7 @@ from outerfan.graph import (
 )
 from outerfan.recognizer import recognize
 from outerfan.spqr import (
+    _MEdge,
     build_spqr,
     node_views,
     reconstruct,
@@ -168,7 +171,125 @@ def test_resumed_pair_search_builds_the_same_tree(monkeypatch):
     graphs += [cycle_plus_chords(n, rng) for n in (12, 20, 30)]
     resumed = [tree_to_json(build_spqr(g)) for g in graphs]
     search = spqr._find_split_pair
-    monkeypatch.setattr(
-        spqr, "_find_split_pair", lambda edges, adj, after: search(edges, adj, (-1, -1))
-    )
+    monkeypatch.setattr(spqr, "_find_split_pair", lambda adj, after: search(adj, (-1, -1)))
     assert [tree_to_json(build_spqr(g)) for g in graphs] == resumed
+
+
+# ---------------------------------------------------------------------------
+# Reference builder: the recursive split and the restart-loop merge that
+# build_spqr's worklist split and union-find merge replaced
+# ---------------------------------------------------------------------------
+
+
+class ReferenceDecomposition:
+    def __init__(self) -> None:
+        self.skeletons: list[tuple[str, list[_MEdge]]] = []
+        self.next_link = 0
+
+    def new_link(self) -> int:
+        self.next_link += 1
+        return self.next_link - 1
+
+    def split(self, edges: list[_MEdge], after=(-1, -1)) -> None:
+        adj: dict[int, set[int]] = {}
+        for e in edges:
+            u, v = e.pair
+            adj.setdefault(u, set()).add(v)
+            adj.setdefault(v, set()).add(u)
+        if len(adj) == 2:
+            self.skeletons.append(("P", edges))
+            return
+        if spqr._is_cycle(edges, adj):
+            self.skeletons.append(("S", edges))
+            return
+        pairs = [e.pair for e in edges]
+        parallel = min({p for p in pairs if pairs.count(p) > 1}, default=None)
+        found = [parallel, spqr._find_split_pair(adj, after)]
+        pair = min((p for p in found if p is not None), default=None)
+        if pair is None:
+            self.skeletons.append(("R", edges))
+            return
+        singles = [e for e in edges if e.pair == pair]
+        classes = [
+            [e for e in edges if e.pair[0] in comp or e.pair[1] in comp]
+            for comp in components(adj, pair)
+        ]
+        if not singles and len(classes) == 2:
+            link = self.new_link()
+            for cls in classes:
+                self.split(cls + [_MEdge(pair, "virtual", link)], pair)
+            return
+        central = list(singles)
+        for cls in classes:
+            link = self.new_link()
+            central.append(_MEdge(pair, "virtual", link))
+            self.split(cls + [_MEdge(pair, "virtual", link)], pair)
+        self.skeletons.append(("P", central))
+
+
+def reference_merge(skeletons):
+    work = [(kind, list(s)) for kind, s in skeletons]
+    changed = True
+    while changed:
+        changed = False
+        owners: dict[int, list[int]] = {}
+        for idx, (_kind, skel) in enumerate(work):
+            for e in skel:
+                if e.kind == "virtual":
+                    owners.setdefault(e.link, []).append(idx)
+        for link, (a, b) in sorted(owners.items()):
+            (ka, sa), (kb, sb) = work[a], work[b]
+            if ka == kb and ka in ("S", "P"):
+                work[a] = (ka, [e for e in sa + sb if not (e.kind == "virtual" and e.link == link)])
+                del work[b]
+                changed = True
+                break
+    return work
+
+
+def reference_tree(g):
+    dec = ReferenceDecomposition()
+    dec.split([_MEdge(p, "real", None) for p in g.edge_list()])
+    return spqr._number(reference_merge(dec.skeletons), dec.next_link)
+
+
+def sparse_biconnected(n, rng):
+    pairs = list(combinations(range(n), 2))
+    while True:
+        g = build_graph(n, rng.sample(pairs, rng.randint(n, min(2 * n + 2, len(pairs)))))
+        if is_biconnected(g):
+            return g
+
+
+def test_builder_matches_the_recursive_reference():
+    rng = random.Random(1007)
+    sparse = [sparse_biconnected(n, rng) for n in range(4, 17) for _ in range(40)]
+    chords = [cycle_plus_chords(n, rng) for n in range(6, 41, 2) for _ in range(3)]
+    bundles = 0
+    for g in sparse + chords:
+        t = build_spqr(g)
+        assert tree_to_json(t) == tree_to_json(reference_tree(g))
+        bundles += any(
+            n.kind == "P" and sum(e.kind == "virtual" for e in n.edges) > 1 for n in t.nodes
+        )
+    # the order of a parallel node's virtual edges follows the link numbering
+    assert bundles > 100
+
+
+def ladder(k):
+    """Two paths of k vertices joined by k rungs: a chain of k - 1 squares."""
+    rails = [(i, i + 1) for i in range(k - 1)] + [(k + i, k + i + 1) for i in range(k - 1)]
+    return build_graph(2 * k, rails + [(i, k + i) for i in range(k)])
+
+
+def test_deep_tree_needs_no_deep_recursion():
+    # the 2 x 1000 ladder's tree is a path of about 3000 nodes; a recursive
+    # split went one frame deeper per square
+    assert sys.getrecursionlimit() < 5000
+    g = ladder(1000)
+    t = build_spqr(g)
+    assert verify_tree(t, g) == []
+    assert reconstruct(t) == g
+    out = recognize(g)
+    assert not out.accepted
+    assert re.fullmatch(r"series node \d+ is a cycle of length 4", out.reason)
