@@ -6,6 +6,9 @@ their endpoints interleave around the circle.  An order is outer-fan-planar
 when every edge that is crossed two or more times is crossed only by edges
 sharing a common endpoint.  In convex position an edge's crossers can never
 straddle both sides of it, so the common-endpoint test is the whole check.
+:func:`check_outer_fan_planar` lists every crossing and is the readable
+reference; :func:`fan_planar_edges` gives the same verdict for chosen edges
+by walking each chord's shorter arc, and serves the recognizer.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Iterable, Mapping
 
 from .errors import GraphInputError
 from .graph import Edge, Graph, norm_edge
@@ -129,6 +133,37 @@ def check_outer_fan_planar(g: Graph, order: CircularOrder) -> CrossingReport:
     )
 
 
+def fan_planar_edges(
+    adj, order: CircularOrder, pos: Mapping[int, int], edges: Iterable[Edge],
+    crossed: set[Edge] | None = None,
+) -> bool:
+    """Whether each of ``edges`` is crossed only by edges sharing an endpoint.
+
+    This is :func:`check_outer_fan_planar`'s verdict restricted to ``edges``.
+    ``adj`` maps each vertex of ``order`` to its neighbors and ``pos`` is
+    ``positions(order)``.  A crosser of a chord has exactly one endpoint on
+    each side of it, so the crossers are listed from the shorter arc, and
+    they share an endpoint iff their ends on one side are a single vertex.
+    Every crosser met is added to ``crossed`` when it is given.
+    """
+    n = len(order)
+    for a, b in edges:
+        i, j = pos[a], pos[b]
+        if i > j:
+            i, j = j, i
+        if 2 * (j - i) <= n:  # from inside the arc i..j to outside it
+            side = order[i + 1 : j]
+            hits = [(x, y) for x in side for y in adj[x] if not i <= pos[y] <= j]
+        else:  # from outside the arc to strictly inside it
+            side = order[j + 1 :] + order[:i]
+            hits = [(x, y) for x in side for y in adj[x] if i < pos[y] < j]
+        if len({x for x, _ in hits}) > 1 and len({y for _, y in hits}) > 1:
+            return False
+        if crossed is not None:
+            crossed.update((x, y) if x < y else (y, x) for x, y in hits)
+    return True
+
+
 def canonicalize(order: CircularOrder) -> CircularOrder:
     """Lexicographically least sequence among all rotations and reflections.
 
@@ -143,16 +178,17 @@ def canonicalize(order: CircularOrder) -> CircularOrder:
     return min(forward, backward)
 
 
-def consecutive_run(order: CircularOrder, vs: set[int]) -> int | None:
+def consecutive_run(pos: Mapping[int, int], vs: set[int]) -> int | None:
     """Start position of a run of cyclically consecutive positions holding
-    exactly ``vs``, else None."""
-    n = len(order)
-    pos = positions(order)
-    ps = {pos[v] for v in vs}
-    for r in range(n):
-        if {(r + k) % n for k in range(len(vs))} == ps:
-            return r
-    return None
+    exactly ``vs``, else None; 0 when ``vs`` is empty or the whole order.
+    ``pos`` maps each vertex of the order to its position."""
+    n = len(pos)
+    ps = sorted(pos[v] for v in vs)
+    # a position starts the run iff the one before it (cyclically) is not in vs
+    starts = [p for q, p in zip([ps[-1] - n, *ps], ps) if p - q != 1] if ps else []
+    if not starts:
+        return 0 if n else None
+    return starts[0] if len(starts) == 1 else None
 
 
 def drawing_key(g: Graph, order: CircularOrder) -> tuple[Edge, ...]:

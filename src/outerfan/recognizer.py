@@ -10,25 +10,32 @@ tree once and dispatches on it.  A single rigid node is a 3-connected graph
   fact the test suite checks against the exhaustive oracle on every such
   labeled graph); its drawings are the canonical orders of the complete
   graph that pass the fan-planarity check;
-* otherwise it is peeled down to a triangle by repeatedly removing a
-  degree-3 vertex of a 4-clique, then rebuilt by reinserting the vertices
-  between their neighbors while preserving fan-planarity, branching over
-  the (at most two) feasible slots.  Each slot is checked incrementally:
-  inserting a vertex leaves every old crossing as it was, so only the new
-  edges and the old edges they cross are re-examined.
+* otherwise it is peeled down to a triangle by repeatedly removing the
+  least degree-3 vertex of a 4-clique (a heap of candidates, since a peel
+  changes only its neighbors' status), then rebuilt by reinserting the
+  vertices between their neighbors while preserving fan-planarity,
+  branching over the (at most two) feasible slots.  Each slot is checked
+  incrementally: inserting a vertex leaves every old crossing as it was, so
+  only the new edges and the old edges they cross are re-examined.
 
 A single series node is a chordless cycle, maximal only as a triangle.  Any
 other tree is accepted iff its rigid skeletons pass the 3-connected paths
 with their virtual edges on the outer face and the tree satisfies a small
 set of local conditions, including a porosity test at every parallel node.
 
-The recognizer does not use the exhaustive oracle, so the test suite's
+One kernel, :func:`~outerfan.circular.fan_planar_edges`, makes every fan
+check: the slot checks, the final check of a reinsertion's orders, the base
+case, porosity and the check of assembled SPQR drawings.  It reads each
+edge's crossers from the shorter arc of its chord, given the order's
+positions, which each order computes once.  The recognizer does not use the
+exhaustive oracle or the reference checker, so the test suite's
 recognizer-vs-oracle sweep compares two independent procedures; embeddings
 are reported one canonical order per distinct drawing.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import combinations, permutations
@@ -36,19 +43,17 @@ from itertools import combinations, permutations
 from . import spqr
 from .circular import (
     CircularOrder,
-    EdgeClass,
     canonicalize,
-    check_outer_fan_planar,
-    classify_edge,
     consecutive_run,
     distinct_drawings,
     drawing_key,
+    fan_planar_edges,
+    positions,
 )
 from .errors import StructuralError
 from .graph import (
     Edge,
     Graph,
-    build_graph,
     dense_graph,
     is_biconnected,
     is_triconnected,
@@ -214,65 +219,34 @@ def is_complete_2hop(g: Graph) -> CompleteTwoHop | None:
 # ---------------------------------------------------------------------------
 
 
-def _insert_between(order: CircularOrder, v: int, a: int, b: int) -> CircularOrder:
-    """Insert v into the slot between adjacent positions of a and b."""
-    s = len(order)
-    pos = {x: i for i, x in enumerate(order)}
-    i, j = pos[a], pos[b]
-    if (i + 1) % s == j:
-        k = j
-    elif (j + 1) % s == i:
-        k = i
-    else:
-        raise StructuralError(f"{a} and {b} are not adjacent in {order}")
-    return order[:k] + (v,) + order[k:]
+def _outer(pos, e: Edge) -> bool:
+    """Whether ``e`` joins circle neighbors; ``pos`` gives the order's positions."""
+    d = abs(pos[e[0]] - pos[e[1]])
+    return d == 1 or d == len(pos) - 1
 
 
-def _slot_is_fan_planar(adj, order: CircularOrder, v: int) -> bool:
+def _drawable(g: Graph, order: CircularOrder, outer_required) -> bool:
+    """Whether ``order`` is a fan-planar drawing of g with every edge of
+    ``outer_required`` on the outer face."""
+    pos = positions(order)
+    return all(_outer(pos, e) for e in outer_required) and fan_planar_edges(
+        g.adj, order, pos, g.edges
+    )
+
+
+def _slot_is_fan_planar(adj, order: CircularOrder, pos, v: int) -> bool:
     """Fan-planarity of ``order`` for the graph ``adj``, given that ``order``
     without ``v`` is fan-planar for the graph without ``v``.
 
     In convex position, inserting v changes no crossing between old edges.
     Only v's edges and the old edges they cross can gain crossers, so only
-    their crossing lists are rebuilt and checked for a common endpoint.
-    ``adj`` maps each vertex of ``order`` to its neighbors.
+    those are checked.  ``adj`` maps each vertex of ``order`` to its
+    neighbors and ``pos`` is ``positions(order)``.
     """
-    s = len(order)
-    pos = {x: i for i, x in enumerate(order)}
-
-    def crossers(a: int, b: int) -> list[Edge]:
-        lo, hi = sorted((pos[a], pos[b]))
-        # a crossing edge has exactly one endpoint strictly inside the arc;
-        # enumerate from the shorter side
-        if 2 * (hi - lo) <= s:
-            side = order[lo + 1 : hi]
-        else:
-            side = order[hi + 1 :] + order[:lo]
-        inside = set(side)
-        return [
-            (x, y)
-            for x in side
-            for y in adj[x]
-            if y not in inside and y != a and y != b
-        ]
-
-    def fan(lst: list[Edge]) -> bool:
-        if len(lst) < 2:
-            return True
-        common = set(lst[0])
-        for e in lst[1:]:
-            common.intersection_update(e)
-            if not common:
-                return False
-        return True
-
-    touched: set[Edge] = set()
-    for w in adj[v]:
-        lst = crossers(v, w)
-        if not fan(lst):
-            return False
-        touched.update(norm_edge(x, y) for x, y in lst)
-    return all(fan(crossers(a, b)) for a, b in touched)
+    crossed: set[Edge] = set()
+    return fan_planar_edges(
+        adj, order, pos, [(v, w) for w in adj[v]], crossed
+    ) and fan_planar_edges(adj, order, pos, crossed)
 
 
 def _peel_and_reinsert(g: Graph, outer_required: frozenset[Edge], raw: _RawResult) -> None:
@@ -288,19 +262,23 @@ def _peel_and_reinsert(g: Graph, outer_required: frozenset[Edge], raw: _RawResul
     marked_triangles: list[frozenset[int]] = []
     stack: list[PeelRecord] = []
 
-    while True:
-        pick = None
-        for v in sorted(adj):
-            if len(adj[v]) != 3:
-                continue
-            a, b, c = sorted(adj[v])
-            if b in adj[a] and c in adj[a] and c in adj[b]:
-                pick = (v, (a, b, c))
-                break
-        if pick is None:
-            break
-        v, nbrs = pick
-        present = set(adj)
+    def peelable(v: int) -> tuple[int, int, int] | None:
+        """v's neighbors if v is a degree-3 vertex of a 4-clique."""
+        if v not in adj or len(adj[v]) != 3:
+            return None
+        a, b, c = sorted(adj[v])
+        return (a, b, c) if b in adj[a] and c in adj[a] and c in adj[b] else None
+
+    # candidates, least first (adj is in vertex order, so this is a heap); a
+    # peel changes the status of its three neighbors only, so they are pushed
+    # again, and each pop is re-checked
+    heap = [v for v in adj if peelable(v)]
+    while heap:
+        v = heapq.heappop(heap)
+        nbrs = peelable(v)
+        if nbrs is None:
+            continue
+        present = adj.keys()
         # stale marks (a member already peeled) were converted to edge marks
         # at that member's removal and must not count twice
         tris_with_v = [t for t in marked_triangles if v in t and t <= present]
@@ -322,8 +300,9 @@ def _peel_and_reinsert(g: Graph, outer_required: frozenset[Edge], raw: _RawResul
             if e not in marks:
                 marks[e] = v
                 newly_marked.append(e)
-        for w in adj[v]:
+        for w in nbrs:
             adj[w].discard(v)
+            heapq.heappush(heap, w)
         del adj[v]
         marked_triangles.append(frozenset(nbrs))
         stack.append(PeelRecord(v, nbrs, tuple(newly_marked)))
@@ -346,27 +325,23 @@ def _peel_and_reinsert(g: Graph, outer_required: frozenset[Edge], raw: _RawResul
         adj[v] = set(rec.neighbors)
         for w in rec.neighbors:
             adj[w].add(v)
-        present = set(adj)
-        active_marks = [e for e in marks if e[0] in present and e[1] in present]
+        active_marks = [e for e in marks if e[0] in adj and e[1] in adj]
         new_live: set[CircularOrder] = set()
         for order in live:
-            r = consecutive_run(order, set(rec.neighbors))
+            s = len(order)
+            r = consecutive_run(positions(order), set(rec.neighbors))
             if r is None:
                 continue
-            e1, mid, e2 = (order[(r + k) % len(order)] for k in range(3))
-            slots = [(e1, mid), (mid, e2)]
-            if len(order) == 3:
-                slots.append((e2, e1))
-            for a, b in slots:
-                cand = _insert_between(order, v, a, b)
-                if any(
-                    classify_edge(cand, e) is not EdgeClass.OUTER
-                    for e in active_marks
+            # the slots after the run's first and middle vertex, and after its
+            # last one too when the order is the triangle
+            for p in range(r, r + (3 if s == 3 else 2)):
+                k = (p + 1) % s
+                cand = order[:k] + (v,) + order[k:]
+                pos = positions(cand)
+                if all(_outer(pos, e) for e in active_marks) and _slot_is_fan_planar(
+                    adj, cand, pos, v
                 ):
-                    continue
-                if not _slot_is_fan_planar(adj, cand, v):
-                    continue
-                new_live.add(canonicalize(cand))
+                    new_live.add(canonicalize(cand))
         live = sorted(new_live)
         # the branch bound counts distinct drawings; one drawing can be held
         # as several labeled orders when the graph has automorphisms
@@ -388,12 +363,7 @@ def _peel_and_reinsert(g: Graph, outer_required: frozenset[Edge], raw: _RawResul
             raw.reason = f"no feasible slot when reinserting {v}"
             return
 
-    final = [
-        o
-        for o in live
-        if check_outer_fan_planar(g, o).verdict
-        and all(classify_edge(o, e) is EdgeClass.OUTER for e in outer_required)
-    ]
+    final = [o for o in live if _drawable(g, o, outer_required)]
     if not final:
         raw.accepted = False
         raw.verdict = Verdict.REJECTED_NO_EMBEDDING
@@ -427,12 +397,7 @@ def _recognize_3connected_raw(g: Graph, outer_required: frozenset[Edge]) -> _Raw
             raw.reason = "not maximal (exhaustive check)"
             return raw
         canonical = [(0, *p) for p in permutations(range(1, n)) if p[0] < p[-1]]
-        orders = [
-            o
-            for o in canonical
-            if check_outer_fan_planar(g, o).verdict
-            and all(classify_edge(o, e) is EdgeClass.OUTER for e in outer_required)
-        ]
+        orders = [o for o in canonical if _drawable(g, o, outer_required)]
         if not orders:
             raw.verdict = Verdict.REJECTED_NO_EMBEDDING
             raw.reason = "maximal, but no drawing places the required edges outside"
@@ -448,9 +413,7 @@ def _recognize_3connected_raw(g: Graph, outer_required: frozenset[Edge]) -> _Raw
             f"complete 2-hop graph: {th.raw_candidates} candidate orders"
         )
         orders = [
-            o
-            for o in th.orders
-            if all(classify_edge(o, e) is EdgeClass.OUTER for e in outer_required)
+            o for o in th.orders if all(_outer(positions(o), e) for e in outer_required)
         ]
         raw.two_hop_candidates = th.raw_candidates
         if not orders:
@@ -490,7 +453,15 @@ def recognize_3connected(
 def _porous_in_drawing(
     skel: Graph, order: CircularOrder, outer_edge: Edge, around: int
 ) -> bool:
-    pos = {v: i for i, v in enumerate(order)}
+    """Hang a new vertex into ``skel``'s adjacency across ``outer_edge`` and
+    run the slot check on it.
+
+    The slot check needs ``order`` to be fan-planar for ``skel``.  Every
+    drawing the recognizer passes in is: each side of a parallel node is a
+    rigid skeleton's drawing, which passed the final check (or is a complete
+    2-hop drawing), or the series triangle.
+    """
+    pos = positions(order)
     u, v = outer_edge
     n = len(order)
     if (pos[u] + 1) % n != pos[v] and (pos[v] + 1) % n != pos[u]:
@@ -503,10 +474,11 @@ def _porous_in_drawing(
     left, right = order[(i - 1) % n], order[(i + 1) % n]
     w = left if right == other else right
     nv = skel.n
-    ext = build_graph(nv + 1, list(skel.edges) + [(nv, w)])
+    adj = [*skel.adj, {w}]
+    adj[w] = adj[w] | {nv}
     k = pos[v] if (pos[u] + 1) % n == pos[v] else pos[u]
     ext_order = order[:k] + (nv,) + order[k:]
-    return check_outer_fan_planar(ext, ext_order).verdict
+    return _slot_is_fan_planar(adj, ext_order, positions(ext_order), nv)
 
 
 def is_porous(
@@ -517,12 +489,17 @@ def is_porous(
 ) -> bool:
     """Whether a degree-1 vertex can be hung across ``outer_edge``.
 
-    True iff some drawing in the set still passes the fan-planarity check
-    after inserting a new vertex between the endpoints of ``outer_edge`` and
-    connecting it to the far-side circle neighbor of ``around``.
+    True iff some drawing in the set is a fan-planar drawing of ``skel`` and
+    still is one after inserting a new vertex between the endpoints of
+    ``outer_edge`` and connecting it to the far-side circle neighbor of
+    ``around``.  A drawing that is not fan-planar for ``skel`` never counts.
     """
     e = norm_edge(*outer_edge)
-    return any(_porous_in_drawing(skel, d, e, around) for d in drawings)
+    return any(
+        _porous_in_drawing(skel, d, e, around)
+        and fan_planar_edges(skel.adj, d, positions(d), skel.edges)
+        for d in drawings
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -584,7 +561,7 @@ def _p_node_violation(g1: _SkelView, g2: _SkelView, s_t: Edge) -> str | None:
         around = s_d if at_s else t_d
         other = t_d if at_s else s_d
         for d in view.drawings:
-            pos = {v: i for i, v in enumerate(d)}
+            pos = positions(d)
             n = len(d)
             i = pos[around]
             left, right = d[(i - 1) % n], d[(i + 1) % n]
@@ -815,7 +792,7 @@ def _recognize_from_tree(g: Graph, tree: spqr.SpqrTree) -> RecognitionOutcome:
             )
 
     orders = _assemble(views, tree_adj)
-    orders = [o for o in orders if check_outer_fan_planar(g, o).verdict]
+    orders = [o for o in orders if _drawable(g, o, ())]
     if not orders:
         return reject(
             Verdict.REJECTED_NO_EMBEDDING,

@@ -1,3 +1,4 @@
+import random
 from itertools import combinations, permutations
 
 import pytest
@@ -10,14 +11,20 @@ from outerfan.circular import (
     check_outer_fan_planar,
     chords_cross,
     classify_edge,
+    consecutive_run,
     crossing_lists,
     drawing_key,
+    fan_planar_edges,
     format_order,
     parse_order,
+    positions,
     render_svg,
 )
 from outerfan.errors import GraphInputError
 from outerfan.graph import build_graph, complete_graph, complete_two_hop_graph, cycle_graph
+from outerfan.oracle import candidate_orders
+from outerfan.recognizer import recognize
+from outerfan.sweep import all_graphs, grown_graph
 
 
 class TestClassify:
@@ -228,3 +235,80 @@ class TestSvg:
     def test_deterministic_bytes(self):
         g = complete_graph(5)
         assert render_svg(g, (0, 1, 2, 3, 4)) == render_svg(g, (0, 1, 2, 3, 4))
+
+
+def brute_consecutive_run(order, vs):
+    """The first start r whose run of len(vs) positions holds exactly vs."""
+    n = len(order)
+    pos = positions(order)
+    ps = {pos[v] for v in vs}
+    for r in range(n):
+        if {(r + k) % n for k in range(len(vs))} == ps:
+            return r
+    return None
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_consecutive_run_matches_brute_force(data):
+    n = data.draw(st.integers(0, 10))
+    order = tuple(data.draw(st.permutations(range(n))))
+    if n and data.draw(st.booleans()):
+        # an arc, possibly wrapping, so that runs are common
+        start, size = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n))
+        vs = {order[(start + k) % n] for k in range(size)}
+    else:
+        vs = set(data.draw(st.lists(st.sampled_from(order), unique=True))) if n else set()
+    assert consecutive_run(positions(order), vs) == brute_consecutive_run(order, vs)
+
+
+def _kernel_agrees(g, order, verdicts):
+    """The kernel on every edge equals the reference verdict; when it holds,
+    the crossers it met are exactly the edges crossed by some edge."""
+    crossed = set()
+    got = fan_planar_edges(g.adj, order, positions(order), g.edges, crossed)
+    report = check_outer_fan_planar(g, order)
+    assert got == report.verdict, (g.edge_list(), order)
+    if got:
+        assert crossed == {f for lst in report.crossings.values() for f in lst}
+    verdicts[got] += 1
+
+
+class TestFanKernel:
+    """``fan_planar_edges`` against ``check_outer_fan_planar``."""
+
+    def test_every_small_graph_on_every_canonical_order(self):
+        verdicts = {True: 0, False: 0}
+        for n in range(6):
+            orders = list(candidate_orders(n))
+            for g in all_graphs(n):
+                for order in orders:
+                    _kernel_agrees(g, order, verdicts)
+        # every order of K5 is fan-planar, so every order of a subgraph is
+        assert verdicts[True] == 12_492 and verdicts[False] == 0
+
+    def test_random_graphs_on_random_orders(self):
+        rng = random.Random(606)
+        verdicts = {True: 0, False: 0}
+        for n in range(6, 13):
+            pairs = list(combinations(range(n), 2))
+            for _ in range(30):
+                g = build_graph(n, rng.sample(pairs, rng.randint(0, min(3 * n, len(pairs)))))
+                for _ in range(8):
+                    order = list(range(n))
+                    rng.shuffle(order)
+                    _kernel_agrees(g, tuple(order), verdicts)
+        assert verdicts[True] > 0 and verdicts[False] > 0
+
+    def test_grown_drawings_and_their_transpositions(self):
+        rng = random.Random(1664)
+        verdicts = {True: 0, False: 0}
+        for n in (16, 32, 64):
+            g = grown_graph(n, rng)
+            for order in recognize(g).embeddings:
+                _kernel_agrees(g, order, verdicts)
+                for i, j in combinations(range(n), 2):
+                    moved = list(order)
+                    moved[i], moved[j] = moved[j], moved[i]
+                    _kernel_agrees(g, tuple(moved), verdicts)
+        assert verdicts[True] > 0 and verdicts[False] > 0

@@ -5,8 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from outerfan import graph, oracle, recognizer, spqr, sweep
-from outerfan.circular import EdgeClass, check_outer_fan_planar, classify_edge
+from outerfan import circular, graph, oracle, recognizer, spqr, sweep
+from outerfan.circular import EdgeClass, check_outer_fan_planar, classify_edge, positions
 from outerfan.errors import StructuralError
 from outerfan.graph import (
     add_edge,
@@ -16,6 +16,7 @@ from outerfan.graph import (
     cycle_graph,
     degree3_k4_vertices,
     is_triconnected,
+    norm_edge,
     path_graph,
     remove_vertex,
 )
@@ -28,7 +29,12 @@ from outerfan.recognizer import (
     recognize,
     recognize_3connected,
 )
-from outerfan.sweep import all_graphs, grown_graph, sample_biconnected
+from outerfan.sweep import (
+    all_biconnected_graphs,
+    all_graphs,
+    grown_graph,
+    sample_biconnected,
+)
 
 
 def remark6_graph():
@@ -209,6 +215,17 @@ class TestPorosity:
             ext = build_graph(7, list(g.edges) + [(6, w)])
             assert oracle.outer_fan_planar_order(ext) is not None
 
+    def test_drawing_that_is_not_fan_planar_never_counts(self):
+        # (0, 3) is crossed by (1, 4) and (2, 5), which share no endpoint;
+        # the new vertex's edge crosses neither, so the slot check alone
+        # would accept the insertion
+        g = build_graph(7, [(i, (i + 1) % 7) for i in range(7)] + [(0, 3), (1, 4), (2, 5)])
+        d = tuple(range(7))
+        assert not check_outer_fan_planar(g, d).verdict
+        assert recognizer._porous_in_drawing(g, d, (5, 6), 6)
+        assert not reference_porous_in_drawing(g, d, (5, 6), 6)
+        assert not is_porous(g, [d], (5, 6), around=6)
+
     def test_non_outer_edge_rejected(self):
         g = remark6_graph()
         with pytest.raises(StructuralError):
@@ -309,9 +326,8 @@ class TestIncrementalSlotCheck:
             for k in range(len(rest)):
                 cand = rest[:k] + (v,) + rest[k:]
                 expected = check_outer_fan_planar(g, cand).verdict
-                assert _slot_is_fan_planar(g.adj, cand, v) == expected, (
-                    g.edge_list(), cand, v,
-                )
+                got = _slot_is_fan_planar(g.adj, cand, positions(cand), v)
+                assert got == expected, (g.edge_list(), cand, v)
                 verdicts[expected] += 1
 
     def test_grown_graphs(self):
@@ -456,3 +472,133 @@ def test_sweep_checks_the_tree_recognition_used(monkeypatch):
     assert {rec.triconnected_path for rec in records} == {True, False}
     for rec in records:
         assert rec.triconnected_path == is_triconnected(build_graph(rec.n, rec.edges))
+
+
+def test_recognize_runs_no_reference_fan_check(monkeypatch):
+    """Every fan check of a recognition runs on the shorter-arc kernel; the
+    reference ``check_outer_fan_planar`` is never called."""
+    rng = random.Random(303)
+    inputs = [grown_graph(n, rng) for n in (6, 9, 16, 24)]
+    inputs += [complete_two_hop_graph(n) for n in (6, 8, 11)]
+    inputs += list(all_biconnected_graphs(5))
+    inputs += [sample_biconnected(6, rng) for _ in range(150)]
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return check_outer_fan_planar(*args)
+
+    monkeypatch.setattr(circular, "check_outer_fan_planar", counting)
+    monkeypatch.setattr(recognizer, "check_outer_fan_planar", counting, raising=False)
+    accepted_paths = {out.path for out in map(recognize, inputs) if out.accepted}
+    assert accepted_paths == {"base", "two_hop", "peel", "spqr"}
+    assert calls == []
+
+
+def reference_peel_sequence(g, outer_required=frozenset()):
+    """The peel as it picked vertices before the worklist: every step rescans
+    the vertices in sorted order for the least degree-3 vertex of a 4-clique.
+    Returns the trace lines the peel writes, rejection line included."""
+    adj = {v: set(g.adj[v]) for v in range(g.n)}
+    marks = {e: None for e in outer_required}
+    marked_triangles = []
+    lines = []
+    while True:
+        pick = None
+        for v in sorted(adj):
+            if len(adj[v]) != 3:
+                continue
+            a, b, c = sorted(adj[v])
+            if b in adj[a] and c in adj[a] and c in adj[b]:
+                pick = (v, (a, b, c))
+                break
+        if pick is None:
+            break
+        v, nbrs = pick
+        present = set(adj)
+        tris_with_v = [t for t in marked_triangles if v in t and t <= present]
+        marked_edges_at_v = [
+            e for e in marks if v in e and e[0] in present and e[1] in present
+        ]
+        if len(tris_with_v) >= 3 or len(marked_edges_at_v) >= 3:
+            return lines + [f"peel reject at {v}: saturated marks"]
+        newly_marked = []
+        for t in tris_with_v:
+            e = norm_edge(*sorted(t - {v}))
+            if e not in marks:
+                marks[e] = v
+                newly_marked.append(e)
+        for w in adj[v]:
+            adj[w].discard(v)
+        del adj[v]
+        marked_triangles.append(frozenset(nbrs))
+        lines.append(f"peel {v} neighbors {nbrs} marked {newly_marked}")
+    if len(adj) != 3 or any(len(adj[v]) != 2 for v in adj):
+        lines.append(f"peeling stuck with {len(adj)} vertices, not a triangle")
+    return lines
+
+
+def test_peel_worklist_picks_as_the_sorted_rescan():
+    rng = random.Random(4242)
+    cases = [(grown_graph(n, rng), frozenset()) for n in range(6, 49, 2)]
+    while len(cases) < 100:  # seeded random 3-connected graphs
+        n = rng.randint(6, 10)
+        pairs = list(combinations(range(n), 2))
+        g = build_graph(n, rng.sample(pairs, rng.randint(2 * n, min(3 * n, len(pairs)))))
+        if is_triconnected(g):
+            cases.append((g, frozenset()))
+    for _ in range(25):  # grown graphs made rejectable
+        g = grown_graph(rng.randint(6, 20), rng)
+        cases.append((add_edge(g, *rng.choice(g.non_edges())), frozenset()))
+        cases.append((g, frozenset(rng.sample(sorted(g.edges), rng.randint(1, 4)))))
+    reasons = set()
+    for g, outer in cases:
+        raw = _recognize_3connected_raw(g, outer)
+        if raw.path != "peel":
+            continue
+        peel_lines = [line for line in raw.trace if line.startswith("peel")]
+        assert peel_lines == reference_peel_sequence(g, outer), (g.edge_list(), outer)
+        reasons.add(" ".join(raw.reason.split()[-3:]) if raw.reason else None)
+    assert {None, "not a triangle", "triangles or edges"} <= reasons, reasons
+
+
+def reference_porous_in_drawing(skel, order, outer_edge, around):
+    """Porosity by the reference check on the extended graph."""
+    pos = {v: i for i, v in enumerate(order)}
+    u, v = outer_edge
+    n = len(order)
+    if (pos[u] + 1) % n != pos[v] and (pos[v] + 1) % n != pos[u]:
+        raise StructuralError(f"edge {outer_edge} is not outer in {order}")
+    other = v if around == u else u
+    i = pos[around]
+    left, right = order[(i - 1) % n], order[(i + 1) % n]
+    w = left if right == other else right
+    nv = skel.n
+    ext = build_graph(nv + 1, list(skel.edges) + [(nv, w)])
+    k = pos[v] if (pos[u] + 1) % n == pos[v] else pos[u]
+    return check_outer_fan_planar(ext, order[:k] + (nv,) + order[k:]).verdict
+
+
+def test_porosity_matches_the_reference_check(monkeypatch):
+    """Every (skeleton, drawing, edge, pole) that recognition asks about, on
+    all biconnected graphs with n <= 6 and on seeded ones with n = 7, 8."""
+    met = {}
+    real = recognizer._porous_in_drawing
+
+    def recording(skel, order, edge, around):
+        met[(skel, order, edge, around)] = real(skel, order, edge, around)
+        return met[(skel, order, edge, around)]
+
+    monkeypatch.setattr(recognizer, "_porous_in_drawing", recording)
+    rng = random.Random(78)
+    graphs = [g for n in range(3, 7) for g in all_biconnected_graphs(n)]
+    graphs += [sample_biconnected(n, rng) for n in (7, 8) for _ in range(200)]
+    for g in graphs:
+        recognize(g)
+    monkeypatch.undo()
+    verdicts = {True: 0, False: 0}
+    for (skel, order, edge, around), got in met.items():
+        expected = reference_porous_in_drawing(skel, order, edge, around)
+        assert got == expected == is_porous(skel, [order], edge, around)
+        verdicts[expected] += 1
+    assert verdicts[True] > 0 and verdicts[False] > 0
