@@ -196,26 +196,27 @@ def drawing_key(g: Graph, order: CircularOrder) -> tuple[Edge, ...]:
 
     Two orders get the same key exactly when one drawing is the other after
     relabeling the graph by one of its automorphisms, i.e. they are the same
-    unlabeled drawing.  Used to deduplicate embedding sets.
+    unlabeled drawing.  It is the least sorted position edge list over the
+    rotations and reflections whose cyclic degree sequence is least; that
+    set of images depends only on the drawing's dihedral class, and so does
+    the key.  Used to deduplicate embedding sets.
     """
+    if not order:
+        return ()
     pos = positions(order)
     n = len(order)
     pairs = [norm_edge(pos[u], pos[v]) for u, v in g.edges]
-    best: tuple[Edge, ...] | None = None
-    for flip in (False, True):
-        for r in range(n):
-            if flip:
-                mapped = sorted(
-                    norm_edge((r - a) % n, (r - b) % n) for a, b in pairs
-                )
-            else:
-                mapped = sorted(
-                    norm_edge((a - r) % n, (b - r) % n) for a, b in pairs
-                )
-            cand = tuple(mapped)
-            if best is None or cand < best:
-                best = cand
-    return best if best is not None else ()
+    degs = [len(g.adj[v]) for v in order] * 2
+    back = degs[::-1]
+    # rotation r moves position a to a - r, its reflection (s = -1) to r - a
+    maps = [(degs[r : r + n], r, 1) for r in range(n)]
+    maps += [(back[n - 1 - r : 2 * n - 1 - r], r, -1) for r in range(n)]
+    least = min(seq for seq, _, _ in maps)
+    return min(
+        tuple(sorted(norm_edge(s * (a - r) % n, s * (b - r) % n) for a, b in pairs))
+        for seq, r, s in maps
+        if seq == least
+    )
 
 
 def distinct_drawings(g: Graph, orders) -> tuple[CircularOrder, ...]:

@@ -16,16 +16,23 @@ it as ``after`` and the search resumes above it (the SPQR split does, for
 its split parts).  Both searches keep an explicit stack, so no input size
 can exhaust the interpreter's recursion limit.
 
+One elimination (:func:`peel_degree3_k4`) removes degree-3 vertices of
+4-cliques, least first: it is the recognizer's peel and the pair search's
+certificate.  A graph on k >= 4 vertices and 3k - 6 edges that it reduces
+to a triangle is a 3-tree, hence 3-connected (K4 is, and joining a vertex
+to a triangle keeps that), so the search yields nothing after the peel.
+
 The on-disk format for graphs is a plain edge list: a header line ``n m``
 followed by ``m`` lines ``u v`` with 0-based ids.  ``#`` starts a comment.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from itertools import combinations
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
 from .errors import GraphInputError, StructuralError
 
@@ -204,12 +211,48 @@ def _pieces_left(
     return count, pieces
 
 
+def _k4_neighbors(adj, v: int) -> tuple[int, int, int] | None:
+    """v's sorted neighbors if v has degree 3 and they are pairwise adjacent."""
+    if len(adj[v]) != 3:
+        return None
+    a, b, c = sorted(adj[v])
+    return (a, b, c) if b in adj[a] and c in adj[a] and c in adj[b] else None
+
+
+def peel_degree3_k4(
+    adj: Mapping[int, Iterable[int]],
+) -> tuple[list[tuple[int, tuple[int, int, int]]], dict[int, set[int]]]:
+    """Remove the least degree-3 vertex of a 4-clique while there is one;
+    return the removed vertices in order, each with its neighbor triple, and
+    the adjacency of what is left.  A removal changes only its neighbors'
+    status, so they are pushed again, and each pop is re-checked."""
+    left = {v: set(nbrs) for v, nbrs in adj.items()}
+    heap = [v for v in left if _k4_neighbors(left, v)]
+    heapq.heapify(heap)
+    steps = []
+    while heap:
+        v = heapq.heappop(heap)
+        nbrs = _k4_neighbors(left, v) if v in left else None
+        if nbrs is None:
+            continue
+        for w in nbrs:
+            left[w].discard(v)
+            heapq.heappush(heap, w)
+        del left[v]
+        steps.append((v, nbrs))
+    return steps, left
+
+
 def iter_separation_pairs(
-    adj: Mapping[int, Iterable[int]], after: tuple[int, int] = (-1, -1)
+    adj: Mapping[int, Collection[int]], after: tuple[int, int] = (-1, -1)
 ) -> Iterator[tuple[int, int]]:
     """Lazily yield, in lexicographic order, every vertex pair above ``after``
     whose removal disconnects the graph ``adj`` (vertex to neighbors) on at
-    least three vertices."""
+    least three vertices.  A 3-tree yields nothing without a search."""
+    k = len(adj)
+    if k >= 4 and sum(map(len, adj.values())) == 6 * k - 12:
+        if len(peel_degree3_k4(adj)[1]) == 3:
+            return
     vs = sorted(adj)
     index = {v: i for i, v in enumerate(vs)}
     nbrs = [[index[w] for w in adj[v]] for v in vs]
@@ -280,14 +323,7 @@ def degree3_k4_vertices(g: Graph) -> list[tuple[int, tuple[int, int, int]]]:
 
     Returned sorted by vertex id, each with its sorted neighbor triple.
     """
-    out = []
-    for v in range(g.n):
-        if g.degree(v) != 3:
-            continue
-        a, b, c = sorted(g.adj[v])
-        if g.has_edge(a, b) and g.has_edge(a, c) and g.has_edge(b, c):
-            out.append((v, (a, b, c)))
-    return out
+    return [(v, t) for v in range(g.n) if (t := _k4_neighbors(g.adj, v))]
 
 
 def require_biconnected(g: Graph) -> None:

@@ -11,8 +11,9 @@ tree once and dispatches on it.  A single rigid node is a 3-connected graph
   labeled graph); its drawings are the canonical orders of the complete
   graph that pass the fan-planarity check;
 * otherwise it is peeled down to a triangle by repeatedly removing the
-  least degree-3 vertex of a 4-clique (a heap of candidates, since a peel
-  changes only its neighbors' status), then rebuilt by reinserting the
+  least degree-3 vertex of a 4-clique (the elimination
+  :func:`~outerfan.graph.peel_degree3_k4`, which the separating-pair search
+  shares), then rebuilt by reinserting the
   vertices between their neighbors while preserving fan-planarity,
   branching over the (at most two) feasible slots.  Each slot is checked
   incrementally: inserting a vertex leaves every old crossing as it was, so
@@ -35,7 +36,6 @@ are reported one canonical order per distinct drawing.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import combinations, permutations
@@ -58,6 +58,7 @@ from .graph import (
     is_biconnected,
     is_triconnected,
     norm_edge,
+    peel_degree3_k4,
 )
 
 
@@ -257,28 +258,13 @@ def _peel_and_reinsert(g: Graph, outer_required: frozenset[Edge], raw: _RawResul
     must stay on the outer face until their marking vertex returns; the
     required-outer edges stay marked throughout.
     """
-    adj: dict[int, set[int]] = {v: set(g.adj[v]) for v in range(g.n)}
+    steps, adj = peel_degree3_k4(dict(enumerate(g.adj)))
     marks: dict[Edge, int | None] = {e: None for e in outer_required}
     marked_triangles: list[frozenset[int]] = []
     stack: list[PeelRecord] = []
-
-    def peelable(v: int) -> tuple[int, int, int] | None:
-        """v's neighbors if v is a degree-3 vertex of a 4-clique."""
-        if v not in adj or len(adj[v]) != 3:
-            return None
-        a, b, c = sorted(adj[v])
-        return (a, b, c) if b in adj[a] and c in adj[a] and c in adj[b] else None
-
-    # candidates, least first (adj is in vertex order, so this is a heap); a
-    # peel changes the status of its three neighbors only, so they are pushed
-    # again, and each pop is re-checked
-    heap = [v for v in adj if peelable(v)]
-    while heap:
-        v = heapq.heappop(heap)
-        nbrs = peelable(v)
-        if nbrs is None:
-            continue
-        present = adj.keys()
+    present = set(range(g.n))
+    # the peel order does not depend on the marks, so they are replayed on it
+    for v, nbrs in steps:
         # stale marks (a member already peeled) were converted to edge marks
         # at that member's removal and must not count twice
         tris_with_v = [t for t in marked_triangles if v in t and t <= present]
@@ -300,10 +286,7 @@ def _peel_and_reinsert(g: Graph, outer_required: frozenset[Edge], raw: _RawResul
             if e not in marks:
                 marks[e] = v
                 newly_marked.append(e)
-        for w in nbrs:
-            adj[w].discard(v)
-            heapq.heappush(heap, w)
-        del adj[v]
+        present.discard(v)
         marked_triangles.append(frozenset(nbrs))
         stack.append(PeelRecord(v, nbrs, tuple(newly_marked)))
         raw.trace.append(f"peel {v} neighbors {nbrs} marked {newly_marked}")

@@ -21,7 +21,10 @@ part, so a pair found not to separate is never tested again further down.
 The search runs one iterative lowpoint depth-first search per vertex,
 O(n (n + m)) per component, and each split re-scans the component it cuts,
 so a chain of splits costs depth times size: a 2 x 400 ladder takes about a
-second.
+second.  A component that is a 3-tree (k vertices, 3k - 6 edges, peeled to
+a triangle) skips that search, since a 3-tree is 3-connected: a 3-connected
+input or a rigid skeleton that is one costs one peel; ladders, whose
+squares are no 3-trees, still pay the search.
 
 Representation choice: real edges live inside the S/P/R skeletons they
 belong to.  A parallel node's real edge additionally gets an explicit

@@ -16,9 +16,9 @@ from itertools import combinations
 from typing import Iterator
 
 from . import circular, oracle, spqr
-from .circular import EdgeClass, check_outer_fan_planar, classify_edge, consecutive_run
-from .graph import Edge, Graph, build_graph, is_biconnected, norm_edge
-from .recognizer import _recognize_from_tree
+from .circular import EdgeClass, classify_edge, consecutive_run, positions
+from .graph import Edge, Graph, build_graph, is_biconnected
+from .recognizer import _recognize_from_tree, _slot_is_fan_planar
 
 
 def all_graphs(n: int) -> Iterator[Graph]:
@@ -50,8 +50,9 @@ def grown_graph(n: int, rng: random.Random) -> Graph:
     Start from a triangle drawn on a circle.  Each new vertex is joined to
     three pairwise-adjacent vertices that are consecutive on the circle and
     placed next to the middle one; a placement is kept only if the drawing
-    passes the reference fan-planarity check.  Labels are shuffled at the
-    end.  For n = 4 and n >= 6 the result is maximal outer-fan-planar, a
+    stays fan-planar, which the recognizer's incremental slot check decides
+    from the new edges and the old edges they cross.  Labels are shuffled at
+    the end.  For n = 4 and n >= 6 the result is maximal outer-fan-planar, a
     known-accepted family beyond the oracle's range (the tests check it
     against the oracle at small n).  At n = 5 it is K5 minus an edge, which
     is not maximal.
@@ -59,25 +60,29 @@ def grown_graph(n: int, rng: random.Random) -> Graph:
     if n < 3:
         raise ValueError("grown graphs need n >= 3")
     order = [0, 1, 2]
-    edges = {(0, 1), (0, 2), (1, 2)}
+    adj = {0: {1, 2}, 1: {0, 2}, 2: {0, 1}}
     for v in range(3, n):
         s = len(order)
         slots = [(i, side) for i in range(s) for side in (0, 1)]
         rng.shuffle(slots)
         for i, side in slots:
             x, y, z = order[i - 1], order[i], order[(i + 1) % s]
-            if not {norm_edge(x, y), norm_edge(y, z), norm_edge(x, z)} <= edges:
+            if not (y in adj[x] and z in adj[x] and z in adj[y]):
                 continue
-            cand = order[: i + side] + [v] + order[i + side :]
-            grown = edges | {norm_edge(v, x), norm_edge(v, y), norm_edge(v, z)}
-            if check_outer_fan_planar(build_graph(v + 1, grown), tuple(cand)).verdict:
-                order, edges = cand, grown
+            cand = tuple(order[: i + side] + [v] + order[i + side :])
+            adj[v] = {x, y, z}
+            for w in adj[v]:
+                adj[w].add(v)
+            if _slot_is_fan_planar(adj, cand, positions(cand), v):
+                order = list(cand)
                 break
+            for w in adj.pop(v):
+                adj[w].discard(v)
         else:
             raise RuntimeError(f"no fan-planar slot for vertex {v}")
     perm = list(range(n))
     rng.shuffle(perm)
-    return build_graph(n, [(perm[u], perm[v]) for u, v in edges])
+    return build_graph(n, [(perm[u], perm[w]) for u in adj for w in adj[u] if u < w])
 
 
 @dataclass

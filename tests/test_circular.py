@@ -198,6 +198,52 @@ class TestDrawingKey:
         g = build_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
         assert drawing_key(g, (0, 1, 2, 3)) != drawing_key(g, (0, 1, 3, 2))
 
+    def test_classes_match_the_reference(self):
+        # per n, the orders of empty, cycle, complete and random graphs,
+        # each with a rotation and a reflection of it, pooled
+        rng = random.Random(8080)
+        pairs = equal = 0
+        for n in range(3, 11):
+            edge_sets = list(combinations(range(n), 2))
+            graphs = [build_graph(n, []), cycle_graph(n), complete_graph(n)]
+            graphs += [
+                build_graph(n, rng.sample(edge_sets, rng.randint(0, len(edge_sets))))
+                for _ in range(9)
+            ]
+            keys, refs = [], []
+            for g in graphs:
+                for _ in range(6):
+                    order = list(range(n))
+                    rng.shuffle(order)
+                    r = rng.randrange(n)
+                    turned = tuple(order[r:] + order[:r])
+                    for o in (tuple(order), turned, turned[::-1]):
+                        keys.append(drawing_key(g, o))
+                        refs.append(reference_drawing_key(g, o))
+            for i, j in combinations(range(len(keys)), 2):
+                assert (keys[i] == keys[j]) == (refs[i] == refs[j])
+                pairs += 1
+                equal += refs[i] == refs[j]
+        assert pairs > 100_000 and 0 < equal < pairs
+
+
+def reference_drawing_key(g, order):
+    """The least sorted position edge list over all 2n rotations and
+    reflections."""
+    pos = positions(order)
+    n = len(order)
+    pairs = [tuple(sorted((pos[u], pos[v]))) for u, v in g.edges]
+    best = None
+    for flip in (False, True):
+        for r in range(n):
+            if flip:
+                mapped = sorted(tuple(sorted(((r - a) % n, (r - b) % n))) for a, b in pairs)
+            else:
+                mapped = sorted(tuple(sorted(((a - r) % n, (b - r) % n))) for a, b in pairs)
+            if best is None or tuple(mapped) < best:
+                best = tuple(mapped)
+    return best if best is not None else ()
+
 
 class TestOrderText:
     def test_round_trip(self):

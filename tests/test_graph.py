@@ -177,13 +177,11 @@ def test_separation_pair_search_resumes_after_any_pair(g):
         assert list(iter_separation_pairs(adj, after)) == [p for p in full if p > after]
 
 
-def deletion_scan(adj, after=(-1, -1)):
-    """Reference separating-pair search: delete each vertex pair above
-    ``after`` in lexicographic order and search what is left."""
+def deletion_scan(adj):
+    """Reference separating-pair search: delete each vertex pair in
+    lexicographic order and search what is left."""
     vs = sorted(adj)
     for u, v in combinations(vs, 2):
-        if (u, v) <= after:
-            continue
         rest = [x for x in vs if x not in (u, v)]
         seen = {u, v, rest[0]}
         stack = [rest[0]]
@@ -204,24 +202,62 @@ def sparse_adjacencies(draw, min_n=3, max_n=9):
     ids = draw(st.lists(st.integers(0, 99), min_size=min_n, max_size=max_n, unique=True))
     pairs = list(combinations(ids, 2))
     picked = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs)))
+    return adjacency(ids, picked)
+
+
+def adjacency(ids, edges):
     adj = {x: [] for x in ids}
-    for a, b in picked:
+    for a, b in edges:
         adj[a].append(b)
         adj[b].append(a)
     return {x: tuple(nbrs) for x, nbrs in adj.items()}
 
 
+def random_three_tree(n, pick):
+    """Edges of a 3-tree on 0..n-1: a triangle, then each new vertex joined
+    to the triangle ``pick(triangles)`` of those made so far."""
+    edges = [(0, 1), (0, 2), (1, 2)]
+    triangles = [(0, 1, 2)]
+    for v in range(3, n):
+        a, b, c = pick(triangles)
+        edges += [(a, v), (b, v), (c, v)]
+        triangles += [(a, b, v), (a, c, v), (b, c, v)]
+    return edges
+
+
+@st.composite
+def edge_count_adjacencies(draw):
+    """Graphs with 3n - 6 edges over sparse ids, n = 4..30: 3-trees, which
+    the pair search certifies, or 3-trees with one edge of a degree-3
+    vertex moved elsewhere, which leave that vertex of degree 2 and its two
+    neighbors a separating pair."""
+    n = draw(st.integers(4, 30))
+    edges = random_three_tree(n, lambda ts: ts[draw(st.integers(0, len(ts) - 1))])
+    if n >= 6 and draw(st.booleans()):
+        v = draw(st.sampled_from([x for x in range(n) if sum(x in e for e in edges) == 3]))
+        dropped = draw(st.sampled_from([e for e in edges if v in e]))
+        free = [e for e in combinations(range(n), 2) if v not in e and e not in edges]
+        edges = [e for e in edges if e != dropped] + [draw(st.sampled_from(free))]
+    ids = draw(st.lists(st.integers(0, 99), min_size=n, max_size=n, unique=True))
+    return adjacency(ids, [(ids[a], ids[b]) for a, b in edges])
+
+
 @settings(max_examples=300, deadline=None)
-@given(sparse_adjacencies())
+@given(st.one_of(sparse_adjacencies(), edge_count_adjacencies()))
 # a star: G minus the centre is all isolated vertices
 @example({40: (7, 3, 12), 7: (40,), 3: (40,), 12: (40,)})
 # two triangles sharing 5: G - 5 falls apart, and G - {5, 2} leaves 1 alone
 @example({5: (1, 2, 8, 9), 1: (5, 2), 2: (1, 5), 8: (5, 9), 9: (8, 5)})
 # a triangle plus an isolated vertex: G itself is disconnected
 @example({3: (1, 2), 1: (2, 3), 2: (3, 1), 0: ()})
+# a 3-tree on six vertices (K4, then 4 on 0 1 2, then 5 on 0 1 4) with the
+# edge (4, 5) moved to (3, 4): still 3n - 6 edges, and {0, 1} cuts 5 off
+@example(adjacency(range(6), [*combinations(range(4), 2), (0, 4), (1, 4), (2, 4),
+                              (0, 5), (1, 5), (3, 4)]))
 def test_separation_pair_search_matches_deletion_scan(adj):
+    full = list(deletion_scan(adj))
     for after in [(-1, -1), *combinations(sorted(adj), 2)]:
-        assert list(iter_separation_pairs(adj, after)) == list(deletion_scan(adj, after))
+        assert list(iter_separation_pairs(adj, after)) == [p for p in full if p > after]
 
 
 @st.composite

@@ -407,6 +407,54 @@ class TestGrownFamily:
             for order in out.embeddings:
                 assert check_outer_fan_planar(g, order).verdict
 
+    def test_generator_matches_the_reference_check_version(self):
+        for seed in range(5):
+            for n in (6, 7, 9, 12, 16, 24, 32, 64):
+                got = grown_graph(n, random.Random(seed)).edge_list()
+                assert got == reference_grown_graph(n, random.Random(seed)).edge_list()
+
+    def test_recognition_searches_no_pair(self, monkeypatch):
+        # a grown graph is a 3-tree, so the SPQR split's pair search takes
+        # the certificate: the lowpoint search runs for biconnectivity, never
+        # once per deleted vertex
+        skips = []
+        search = graph._pieces_left
+
+        def counting(nbrs, skip=-1):
+            skips.append(skip)
+            return search(nbrs, skip)
+
+        g = grown_graph(64, random.Random(64))
+        monkeypatch.setattr(graph, "_pieces_left", counting)
+        out = recognize(g)
+        assert out.accepted and out.path == "peel"
+        assert skips and set(skips) == {-1}
+
+
+def reference_grown_graph(n, rng):
+    """``sweep.grown_graph`` deciding each slot with the reference check on
+    the whole drawing."""
+    order = [0, 1, 2]
+    edges = {(0, 1), (0, 2), (1, 2)}
+    for v in range(3, n):
+        s = len(order)
+        slots = [(i, side) for i in range(s) for side in (0, 1)]
+        rng.shuffle(slots)
+        for i, side in slots:
+            x, y, z = order[i - 1], order[i], order[(i + 1) % s]
+            if not {norm_edge(x, y), norm_edge(y, z), norm_edge(x, z)} <= edges:
+                continue
+            cand = order[: i + side] + [v] + order[i + side :]
+            grown = edges | {norm_edge(v, x), norm_edge(v, y), norm_edge(v, z)}
+            if check_outer_fan_planar(build_graph(v + 1, grown), tuple(cand)).verdict:
+                order, edges = cand, grown
+                break
+        else:
+            raise RuntimeError(f"no fan-planar slot for vertex {v}")
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return build_graph(n, [(perm[u], perm[v]) for u, v in edges])
+
 
 def test_recognize_builds_one_tree_and_tests_no_triconnectivity(monkeypatch):
     """Every biconnected input costs one SPQR build and no separate

@@ -14,6 +14,7 @@ from outerfan.graph import (
     cycle_graph,
     is_biconnected,
     iter_separation_pairs,
+    norm_edge,
 )
 from outerfan.recognizer import recognize
 from outerfan.spqr import (
@@ -25,6 +26,7 @@ from outerfan.spqr import (
     tree_to_json,
     verify_tree,
 )
+from outerfan.sweep import grown_graph
 
 
 def random_biconnected(rng, n_lo=4, n_hi=10):
@@ -204,7 +206,7 @@ class ReferenceDecomposition:
             return
         pairs = [e.pair for e in edges]
         parallel = min({p for p in pairs if pairs.count(p) > 1}, default=None)
-        found = [parallel, spqr._find_split_pair(adj, after)]
+        found = [parallel, scan_split_pair(adj, after)]
         pair = min((p for p in found if p is not None), default=None)
         if pair is None:
             self.skeletons.append(("R", edges))
@@ -225,6 +227,13 @@ class ReferenceDecomposition:
             central.append(_MEdge(pair, "virtual", link))
             self.split(cls + [_MEdge(pair, "virtual", link)], pair)
         self.skeletons.append(("P", central))
+
+
+def scan_split_pair(adj, after):
+    """The first vertex pair above ``after`` whose deletion disconnects
+    ``adj``, found by deleting each pair in turn: no 3-tree shortcut."""
+    pairs = combinations(sorted(adj), 2)
+    return next((p for p in pairs if p > after and len(components(adj, p)) > 1), None)
 
 
 def reference_merge(skeletons):
@@ -261,19 +270,45 @@ def sparse_biconnected(n, rng):
             return g
 
 
+def two_sum(g1, g2, rng):
+    """g1 and g2 glued on an edge of each, which is kept or dropped, with
+    the labels shuffled."""
+    a, b = rng.choice(g1.edge_list())
+    c, d = rng.choice(g2.edge_list())
+    rest = iter(range(g1.n, g1.n + g2.n - 2))
+    glue = {x: {c: a, d: b}[x] if x in (c, d) else next(rest) for x in range(g2.n)}
+    edges = set(g1.edges) | {norm_edge(glue[u], glue[v]) for u, v in g2.edges}
+    if rng.random() < 0.5:
+        edges.discard(norm_edge(a, b))
+    perm = list(range(g1.n + g2.n - 2))
+    rng.shuffle(perm)
+    return build_graph(len(perm), [(perm[u], perm[v]) for u, v in edges])
+
+
 def test_builder_matches_the_recursive_reference():
     rng = random.Random(1007)
     sparse = [sparse_biconnected(n, rng) for n in range(4, 17) for _ in range(40)]
     chords = [cycle_plus_chords(n, rng) for n in range(6, 41, 2) for _ in range(3)]
-    bundles = 0
-    for g in sparse + chords:
+    # 3-trees, whose trees are one rigid node, and 2-sums of two 3-trees,
+    # whose rigid skeletons are 3-trees closed by the virtual edge
+    grown = [grown_graph(n, rng) for n in (4, 5, 6, 9, 16, 24, 32, 48, 64)]
+    sums = [
+        two_sum(grown_graph(rng.randint(4, 16), rng), grown_graph(rng.randint(4, 16), rng), rng)
+        for _ in range(30)
+    ]
+    bundles = three_tree_skeletons = 0
+    for g in sparse + chords + grown + sums:
         t = build_spqr(g)
         assert tree_to_json(t) == tree_to_json(reference_tree(g))
         bundles += any(
             n.kind == "P" and sum(e.kind == "virtual" for e in n.edges) > 1 for n in t.nodes
         )
+        three_tree_skeletons += sum(
+            n.kind == "R" and len(n.edges) == 3 * len(n.vertices) - 6 for n in t.nodes
+        )
     # the order of a parallel node's virtual edges follows the link numbering
     assert bundles > 100
+    assert three_tree_skeletons >= len(grown) + 2 * len(sums)
 
 
 def ladder(k):
