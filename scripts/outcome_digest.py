@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Print SHA-256 digests over the recognizer's, the SPQR builder's and the
-connectivity predicates' outputs on fixed, seeded corpora.
+"""Print SHA-256 digests over the recognizer's, the SPQR builder's, the
+connectivity predicates' and the oracle's outputs on fixed, seeded corpora.
 
 Two checkouts that print the same digests give byte-identical results on
 every graph of the first corpus, of biconnected graphs, for four outputs:
@@ -9,8 +9,12 @@ every graph of the first corpus, of biconnected graphs, for four outputs:
 the second, of connected graphs with a cut vertex, for ``is_biconnected(g)``
 and ``cut_vertices(g)``; and on every graph of the third, of sparse
 biconnected graphs, for ``tree_to_json(build_spqr(g))`` and
-``recognize(g).to_json_dict()``.  Use it to show that a refactor changes no
-verdict, embedding, trace, tree or cut vertex:
+``recognize(g).to_json_dict()``; and on every graph of the fourth, of
+small biconnected and grown graphs, for the oracle's
+``outer_fan_planar_order(g)``, ``enumerate_embeddings_raw(g)``,
+``is_maximal_outer_fan_planar(g)`` and ``enumerate_embeddings(g)``.  Use it
+to show that a refactor changes no verdict, embedding, trace, tree, cut
+vertex or oracle answer:
 
     PYTHONPATH=src python scripts/outcome_digest.py
 
@@ -26,7 +30,9 @@ without ``outerfan`` either.  The third, drawn with its own
 ``random.Random(20261020)``: for each n = 4..16, 100 graphs, each redrawn
 (edge count uniform in n .. min(2n + 2, n(n-1)/2), then the edges) until
 ``gen.is_biconnected`` holds.  About half of them have a parallel node with
-several virtual edges, whose order in the tree this corpus pins down.
+several virtual edges, whose order in the tree this corpus pins down.  The
+fourth, drawn with its own ``random.Random(20261021)``: for each n = 4..9,
+150 ``small_biconnected`` and then 10 ``grown_graph`` from ``gen``.
 """
 
 from __future__ import annotations
@@ -43,6 +49,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
 import gen  # noqa: E402
 
+from outerfan import oracle  # noqa: E402
 from outerfan.graph import (  # noqa: E402
     build_graph,
     cut_vertices,
@@ -57,6 +64,7 @@ from outerfan.sweep import all_biconnected_graphs  # noqa: E402
 SEED = 20261018
 CUT_SEED = 20261019
 SPQR_SEED = 20261020
+ORACLE_SEED = 20261021
 
 
 def corpus():
@@ -140,6 +148,26 @@ def spqr_outputs(g) -> str:
     )
 
 
+def oracle_corpus():
+    rng = random.Random(ORACLE_SEED)
+    for n in range(4, 10):
+        for make, count in ((gen.small_biconnected, 150), (gen.grown_graph, 10)):
+            for _ in range(count):
+                yield build_graph(*make(n, rng))
+
+
+def oracle_outputs(g) -> str:
+    return json.dumps(
+        [
+            g.edge_list(),
+            oracle.outer_fan_planar_order(g),
+            oracle.enumerate_embeddings_raw(g),
+            oracle.is_maximal_outer_fan_planar(g),
+            oracle.enumerate_embeddings(g),
+        ]
+    )
+
+
 def digest_lines(label: str, graphs, render) -> None:
     digest = hashlib.sha256()
     count = 0
@@ -156,6 +184,7 @@ def main() -> int:
     digest_lines("", corpus(), outputs)
     digest_lines("cut ", cut_corpus(), cut_outputs)
     digest_lines("spqr ", spqr_corpus(), spqr_outputs)
+    digest_lines("oracle ", oracle_corpus(), oracle_outputs)
     print(f"seconds {time.perf_counter() - t0:.1f}", file=sys.stderr)
     return 0
 

@@ -79,12 +79,12 @@ def cmd_recognize(args) -> int:
 
 def cmd_oracle(args) -> int:
     g = load_graph(args.graph)
-    orders = oracle.enumerate_embeddings_raw(g, max_n=args.max_n)
+    orders, maximal = oracle.scan(g, max_n=args.max_n)
     report = {
         "graph": {"n": g.n, "m": g.m},
         "outer_fan_planar": bool(orders),
         "order": list(orders[0]) if orders else None,
-        "maximal": oracle.is_maximal_given(g, orders),
+        "maximal": maximal,
         "embeddings": [list(o) for o in distinct_drawings(g, orders)],
     }
     print(json.dumps(report, indent=1, sort_keys=True))

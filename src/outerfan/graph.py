@@ -249,8 +249,15 @@ def iter_separation_pairs(
     """Lazily yield, in lexicographic order, every vertex pair above ``after``
     whose removal disconnects the graph ``adj`` (vertex to neighbors) on at
     least three vertices.  A 3-tree yields nothing without a search."""
+    return _separation_pairs(adj, sum(map(len, adj.values())) // 2, after)
+
+
+def _separation_pairs(
+    adj: Mapping[int, Collection[int]], m: int, after: tuple[int, int]
+) -> Iterator[tuple[int, int]]:
+    """:func:`iter_separation_pairs` of a graph known to have m edges."""
     k = len(adj)
-    if k >= 4 and sum(map(len, adj.values())) == 6 * k - 12:
+    if k >= 4 and m == 3 * k - 6:
         if len(peel_degree3_k4(adj)[1]) == 3:
             return
     vs = sorted(adj)

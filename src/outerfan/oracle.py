@@ -7,36 +7,53 @@ their last quotients out both symmetries, leaving (n-1)!/2 canonical
 candidates.  The oracle scans them all; the only shortcut taken is this
 symmetry quotient, so a negative answer really means no drawing exists.
 
-One numpy kernel tests a batch of orders at once, for every n.  Each pair
-of circle positions gets a bit; an order's drawn chords, the chords crossing
-a chord and the chords missing an end of a chord are masks of
-ceil(C(n,2)/64) 64-bit words.  The canonical orders, with the positions
-each vertex pair takes in them, are built once per n up to n = 10 and
-streamed in chunks above.  One lazy scan yields the valid ones in
-lexicographic sequence: the first, all, the distinct drawings among them,
-and maximality (:func:`_maximal`) come from it.  The test suite checks the
-kernel against the readable checker in :mod:`outerfan.circular`, and
-maximality against one full scan per non-edge.
+A drawing is outer-fan-planar when every edge crossed more than once is
+crossed only by edges sharing one endpoint.  With the vertices on a circle
+that is the same as: no edge is crossed by two vertex-disjoint edges.
+Crossers of a chord that pairwise share an endpoint share one common
+endpoint or form a triangle, and they cannot form a triangle: each crosser
+has one end on either side of the chord, so two of a triangle's three
+vertices lie on one side, and the edge joining them does not cross it.
+
+One kernel works on bitsets over orders, one bit per order in lexicographic
+sequence.  A crossing table has a row per unordered pair of disjoint vertex
+pairs {e, f}: the orders in which the chords e and f cross.  The valid
+orders of G are ``full & ~OR(X[e,f] & X[e,g])`` over the 3-matchings
+{e, f, g} of G, e being the chord crossed twice (:func:`_drop_crossed`).
+The first set bit is the least valid order, and every set bit is a valid
+one.  Maximality tests every non-edge h at once on the valid bits
+(:func:`_extendable`): h can be added to a valid order unless, there, h is
+crossed by two disjoint edges of G, or h crosses an edge of G that a third
+edge, disjoint from h, crosses too.
+
+Up to n = 10 (181,440 orders) the table is built once per n over every
+canonical order and every row; at n = 10 that is 630 rows of 22,680 bytes,
+about 14 MB.  Above n = 10, and for given order lists, each chunk of
+orders gets a table of the rows the graph's own 3-matchings use, and
+maximality builds one more over the chunk's valid orders only.  The test
+suite checks the kernel against the readable checker in
+:mod:`outerfan.circular`, and maximality against one full scan per
+non-edge.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cache, lru_cache, partial
 from itertools import islice, permutations
 from math import factorial
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
 from .circular import CircularOrder, distinct_drawings
 from .errors import SizeLimitError
-from .graph import Graph, add_edge
+from .graph import Graph
 
 DEFAULT_MAX_N = 12
 
 _CHUNK = 20_000  # orders per batch
-_STORED_ORDERS = 200_000  # sizes with at most this many canonical orders keep them
-_CELLS = 1_000  # (order, edge) cells per kernel step
+_STORED_ORDERS = 200_000  # sizes with at most this many canonical orders keep their table
+_BATCH = 1 << 18  # table words gathered per step of terms
 
 
 def candidate_orders(n: int) -> Iterator[CircularOrder]:
@@ -49,18 +66,11 @@ def candidate_orders(n: int) -> Iterator[CircularOrder]:
             yield (0, *perm)
 
 
-def _order_chunks(orders: Iterable[CircularOrder], n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Orders of n vertices as int8 rows, with their :func:`_position_pairs`,
-    in chunks of up to ``_CHUNK``."""
+def _order_chunks(orders: Iterable[CircularOrder], n: int) -> Iterator[np.ndarray]:
+    """Orders of n vertices as int8 rows, in chunks of up to ``_CHUNK``."""
     orders = iter(orders)
     while block := list(islice(orders, _CHUNK)):
-        rows = np.array(block, dtype=np.int8).reshape(len(block), n)
-        yield rows, _position_pairs(rows)
-
-
-@lru_cache(maxsize=None)
-def _stored_chunks(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    return tuple(_order_chunks(candidate_orders(n), n))
+        yield np.array(block, dtype=np.int8).reshape(len(block), n)
 
 
 # ---------------------------------------------------------------------------
@@ -68,92 +78,203 @@ def _stored_chunks(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
 # ---------------------------------------------------------------------------
 
 
-def _pack(bits: np.ndarray) -> np.ndarray:
-    """Boolean rows of width p as rows of ceil(p/64) uint64 words, column q
-    at bit q % 64 of word q // 64."""
-    rows, p = bits.shape
-    words = -(-p // 64)
-    padded = np.zeros((rows, words * 64), dtype=np.uint64)
-    padded[:, :p] = bits
-    shifted = padded.reshape(rows, words, 64) << np.arange(64, dtype=np.uint64)
-    return shifted.sum(axis=2, dtype=np.uint64)
+class _Layout(NamedTuple):
+    """Numbering over n vertices.  Vertex pair i is ``(a[i], b[i])``, in
+    lexicographic order, and ``pid`` maps a vertex pair to its id.  Table
+    row r is the pair of disjoint vertex pairs ``(lesser[r], greater[r])``.
+    Each 3-matching {x, y, z} appears three times, once per choice of its
+    chord ``x`` crossed twice, with y < z and the rows ``r1`` of {x, y}
+    and ``r2`` of {x, z}."""
+
+    a: np.ndarray
+    b: np.ndarray
+    pid: np.ndarray
+    lesser: np.ndarray
+    greater: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+    z: np.ndarray
+    r1: np.ndarray
+    r2: np.ndarray
 
 
 @lru_cache(maxsize=None)
-def _masks(n: int):
-    """Tables over the C(n,2) pairs of n circle positions, numbered in
-    lexicographic order: the id of each pair of positions, then per pair its
-    own bit, the pairs whose chords cross its chord, and the pairs not
-    ending at its first and at its second position."""
+def _layout(n: int) -> _Layout:
     a, b = np.triu_indices(n, 1)
     pid = np.zeros((n, n), dtype=np.intp)
     pid[a, b] = pid[b, a] = np.arange(len(a))
-    lo, hi = a[:, None], b[:, None]
-    miss_lo = (a != lo) & (b != lo)
-    miss_hi = (a != hi) & (b != hi)
-    crosses = miss_lo & miss_hi & (((lo < a) & (a < hi)) != ((lo < b) & (b < hi)))
-    return pid, _pack(np.eye(len(a), dtype=bool)), _pack(crosses), _pack(miss_lo), _pack(miss_hi)
+    disjoint = (a[:, None] != a) & (a[:, None] != b) & (b[:, None] != a) & (b[:, None] != b)
+    lesser, greater = np.nonzero(np.triu(disjoint))
+    row = np.zeros((len(a), len(a)), dtype=np.intp)
+    row[lesser, greater] = row[greater, lesser] = np.arange(len(lesser))
+    r, x = np.nonzero(disjoint[lesser] & disjoint[greater])
+    y, z = lesser[r], greater[r]
+    return _Layout(a, b, pid, lesser, greater, x, y, z, row[x, y], row[x, z])
 
 
-def _position_pairs(orders: np.ndarray) -> np.ndarray:
-    """Per order (row) and per vertex pair, numbered as position pairs are,
-    the id of the pair of positions the two vertices take."""
+def _words(packed: np.ndarray) -> np.ndarray:
+    """Packed bytes (last axis) as uint64 words, zero-padded.  Bitwise
+    operations do not care, so bit i of the bytes, most significant bit
+    first, stays order i."""
+    pad = [(0, 0)] * (packed.ndim - 1) + [(0, -packed.shape[-1] % 8)]
+    return np.pad(packed, pad).view(np.uint64)
+
+
+def _full(k: int) -> np.ndarray:
+    """The bitset of all k orders."""
+    bits = np.zeros(-(-k // 64), dtype=np.uint64)
+    packed = bits.view(np.uint8)
+    packed[: k // 8] = 0xFF
+    if k % 8:
+        packed[k // 8] = 0xFF << (8 - k % 8) & 0xFF
+    return bits
+
+
+def _indices(bits: np.ndarray, k: int) -> np.ndarray:
+    """The set bits of a bitset over k orders."""
+    return np.flatnonzero(np.unpackbits(bits.view(np.uint8), count=k))
+
+
+def _crossings(orders: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The crossing table of the given rows over int8 order rows: per row,
+    the bits of the orders in which its two chords cross.  A chord {c, d}
+    crosses {a, b} when exactly one of c, d lies strictly between a and b."""
     k, n = orders.shape
-    pos = np.empty((k, n), dtype=np.intp)
-    pos[np.arange(k)[:, None], orders] = np.arange(n)
-    a, b = np.triu_indices(n, 1)
-    return _masks(n)[0][pos[:, a], pos[:, b]].astype(np.min_scalar_type(len(a)))
+    lay = _layout(n)
+    pos = np.empty((n, k), dtype=np.int8)
+    pos[orders, np.arange(k)[:, None]] = np.arange(n, dtype=np.int8)
+    centers, first = np.unique(lay.lesser[rows], return_inverse=True)
+    ends = pos[lay.a[centers]], pos[lay.b[centers]]
+    lo, hi = np.minimum(*ends), np.maximum(*ends)
+    # per chord of a row's lesser pair and per vertex, the orders placing
+    # the vertex strictly inside the chord's span
+    inside = np.packbits((lo[:, None] < pos) & (pos < hi[:, None]), axis=2)
+    other = lay.greater[rows]
+    return _words(inside[first, lay.a[other]] ^ inside[first, lay.b[other]])
 
 
-def _fan_planar(g: Graph, pairs: np.ndarray) -> np.ndarray:
-    """Per order, given by its :func:`_position_pairs` row, whether every
-    chord of g crossed more than once is crossed only by chords sharing one
-    endpoint, i.e. all ending at one endpoint of any one of them."""
-    k = len(pairs)
-    if g.m < 2:
-        return np.ones(k, dtype=bool)
-    pid, bit, cross, miss_a, miss_b = _masks(g.n)
-    us, vs = np.array(g.edge_list()).T
-    chords = pairs[:, pid[us, vs]]  # (orders, edges)
-    drawn = np.bitwise_or.reduce(bit[chords], axis=1)
-    one = np.uint64(1)
-    alive = np.arange(k)
-    done = 0
-    # edges in steps of about _CELLS (order, edge) cells: small batches take
-    # one step, and in large ones the orders found invalid drop out early
-    while done < g.m and len(alive):
-        step = chords[alive, done : done + max(1, _CELLS // len(alive))]
-        done += step.shape[1]
-        c = (cross[step] & drawn[alive, None, :]).reshape(-1, bit.shape[1])
-        w = np.argmax(c != 0, axis=1)
-        word = c[np.arange(len(c)), w]
-        low = word - (word & (word - one))  # the least crosser's bit
-        # q is the least crosser; a chord crossed once passes the test below,
-        # and one never crossed gets q = -1 and passes too, its c being 0
-        q = w * 64 + np.frexp(low.astype(np.float64))[1] - 1
-        off_a = ((c & miss_a[q]) != 0).any(axis=1)
-        off_b = ((c & miss_b[q]) != 0).any(axis=1)
-        alive = alive[~(off_a & off_b).reshape(len(alive), -1).any(axis=1)]
-    ok = np.zeros(k, dtype=bool)
-    ok[alive] = True
-    return ok
+@lru_cache(maxsize=None)
+def _stored_chunks(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Every canonical order of n vertices, chunked, each chunk with its
+    crossing table over every row."""
+    rows = np.arange(len(_layout(n).lesser))
+    return tuple((orders, _crossings(orders, rows)) for orders in _order_chunks(candidate_orders(n), n))
 
 
-def _valid_chunks(g: Graph) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The one scan: per chunk of canonical orders, lexicographically, the
-    rows drawing g outer-fan-planar and their position pairs, if any."""
-    stored = factorial(max(g.n - 1, 1)) // 2 <= _STORED_ORDERS
-    chunks = _stored_chunks(g.n) if stored else _order_chunks(candidate_orders(g.n), g.n)
-    for orders, pairs in chunks:
-        ok = _fan_planar(g, pairs)
-        if ok.any():
-            yield orders[ok], pairs[ok]
+def _edge_bits(g: Graph, lay: _Layout) -> np.ndarray:
+    """One bool per vertex pair: whether it is an edge of g."""
+    edge = np.zeros(len(lay.a), dtype=bool)
+    if g.m:
+        us, vs = np.array(g.edge_list()).T
+        edge[lay.pid[us, vs]] = True
+    return edge
 
 
-def _valid_orders(g: Graph) -> Iterator[CircularOrder]:
-    """The canonical orders drawing g outer-fan-planar, lexicographically."""
-    for orders, _ in _valid_chunks(g):
-        yield from map(tuple, orders.tolist())
+class _Extension(NamedTuple):
+    """The row pairs whose crossing bits, ANDed, rule an order out for g
+    plus the non-edge numbered ``h`` among ``non_edges`` (sorted by it)."""
+
+    h1: np.ndarray
+    h2: np.ndarray
+    h: np.ndarray
+    non_edges: int
+
+
+def _extension(lay: _Layout, edge: np.ndarray) -> _Extension:
+    ex, ey, ez = edge[lay.x], edge[lay.y], edge[lay.z]
+    # a non-edge h crossed by two disjoint edges (h = x), or crossing an
+    # edge x that a third edge disjoint from h crosses too (h = y or z)
+    new = np.where(ex, ey ^ ez, ey & ez)
+    h = np.where(ex, np.where(ey, lay.z, lay.y), lay.x)[new]
+    h = (np.cumsum(~edge) - 1)[h]
+    by_h = np.argsort(h, kind="stable")
+    return _Extension(lay.r1[new][by_h], lay.r2[new][by_h], h[by_h], len(edge) - int(edge.sum()))
+
+
+def _drop_crossed(table: np.ndarray, r1: np.ndarray, r2: np.ndarray, valid: np.ndarray) -> np.ndarray:
+    """``valid`` less the orders in which the chords of some term's rows
+    ``r1[i]`` and ``r2[i]`` both cross; stops once no order is left."""
+    step = max(1, _BATCH // table.shape[1])
+    for i in range(0, len(r1), step):
+        valid = valid & ~np.bitwise_or.reduce(table[r1[i : i + step]] & table[r2[i : i + step]], axis=0)
+        if not valid.any():
+            break
+    return valid
+
+
+def _extendable(table: np.ndarray, x: _Extension, valid: np.ndarray) -> bool:
+    """Whether some non-edge can be added to one of the ``valid`` orders
+    with the drawing staying outer-fan-planar; ``x``'s rows index
+    ``table``.  Only the words holding a valid order are read."""
+    live = np.flatnonzero(valid)
+    crossed = np.zeros((x.non_edges, len(live)), dtype=np.uint64)
+    step = max(1, _BATCH // max(len(live), 1))
+    for i in range(0, len(x.h), step):
+        h = x.h[i : i + step]
+        cells = table[x.h1[i : i + step, None], live] & table[x.h2[i : i + step, None], live]
+        starts = np.flatnonzero(np.diff(h, prepend=-1))
+        crossed[h[starts]] |= np.bitwise_or.reduceat(cells, starts, axis=0)
+    return bool((valid[live] & ~crossed).any())
+
+
+def _extendable_in(table: np.ndarray, valid: np.ndarray, extension: Callable[[], _Extension]) -> bool:
+    """:func:`_extendable` on a table holding every row."""
+    return _extendable(table, extension(), valid)
+
+
+def _extendable_among(orders: np.ndarray, valid: np.ndarray, extension: Callable[[], _Extension]) -> bool:
+    """:func:`_extendable` on a table of the extension's rows built over
+    the valid orders only."""
+    x = extension()
+    used, (h1, h2) = _compact(x.h1, x.h2)
+    sub = orders[_indices(valid, len(orders))]
+    return _extendable(_crossings(sub, used), x._replace(h1=h1, h2=h2), _full(len(sub)))
+
+
+def _compact(*rows: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The distinct rows used, and each array renumbered into them."""
+    used, inverse = np.unique(np.concatenate(rows), return_inverse=True)
+    return used, np.split(inverse, np.cumsum([len(r) for r in rows[:-1]]))
+
+
+_Chunks = Iterator[tuple[np.ndarray, np.ndarray, Callable[[], bool]]]
+
+
+def _valid_chunks(g: Graph, orders: Iterable[CircularOrder] | None = None) -> _Chunks:
+    """The one scan: per chunk of orders, the canonical ones in lexicographic
+    sequence unless ``orders`` are given, the int8 order rows, the bits of
+    those drawing g outer-fan-planar, and a test whether one of those stays
+    so with a non-edge added."""
+    lay = _layout(g.n)
+    edge = _edge_bits(g, lay)
+    own = edge[lay.x] & edge[lay.y] & edge[lay.z]
+    r1, r2 = lay.r1[own], lay.r2[own]
+    extension = cache(partial(_extension, lay, edge))
+    if orders is None and factorial(max(g.n - 1, 1)) // 2 <= _STORED_ORDERS:
+        for rows, table in _stored_chunks(g.n):
+            valid = _drop_crossed(table, r1, r2, _full(len(rows)))
+            yield rows, valid, partial(_extendable_in, table, valid, extension)
+        return
+    used, (r1, r2) = _compact(r1, r2)
+    for rows in _order_chunks(candidate_orders(g.n) if orders is None else orders, g.n):
+        valid = _drop_crossed(_crossings(rows, used), r1, r2, _full(len(rows)))
+        yield rows, valid, partial(_extendable_among, rows, valid, extension)
+
+
+def _valid_rows(rows: np.ndarray, valid: np.ndarray) -> list[CircularOrder]:
+    return list(map(tuple, rows[_indices(valid, len(rows))].tolist()))
+
+
+def _maximal(chunks: _Chunks) -> bool:
+    """Some order is valid, and none stays valid with a non-edge added;
+    stops at the first chunk holding one that does."""
+    seen = False
+    for _, valid, extendable in chunks:
+        if valid.any():
+            if extendable():
+                return False
+            seen = True
+    return seen
 
 
 def _check_size(g: Graph, max_n: int) -> None:
@@ -172,13 +293,17 @@ def _check_size(g: Graph, max_n: int) -> None:
 def outer_fan_planar_order(g: Graph, max_n: int = DEFAULT_MAX_N) -> CircularOrder | None:
     """Lexicographically least canonical fan-planar order, or None."""
     _check_size(g, max_n)
-    return next(_valid_orders(g), None)
+    for rows, valid, _ in _valid_chunks(g):
+        found = _indices(valid, len(rows))
+        if len(found):
+            return tuple(rows[found[0]].tolist())
+    return None
 
 
 def enumerate_embeddings_raw(g: Graph, max_n: int = DEFAULT_MAX_N) -> tuple[CircularOrder, ...]:
     """Every canonical order passing the fan-planarity check, sorted."""
     _check_size(g, max_n)
-    return tuple(_valid_orders(g))
+    return tuple(order for rows, valid, _ in _valid_chunks(g) for order in _valid_rows(rows, valid))
 
 
 def enumerate_embeddings(g: Graph, max_n: int = DEFAULT_MAX_N) -> tuple[CircularOrder, ...]:
@@ -188,29 +313,39 @@ def enumerate_embeddings(g: Graph, max_n: int = DEFAULT_MAX_N) -> tuple[Circular
     return distinct_drawings(g, enumerate_embeddings_raw(g, max_n))
 
 
-def _maximal(g: Graph, valid_pairs: Iterable[np.ndarray]) -> bool:
-    """Maximality of g from the :func:`_position_pairs` of its valid orders,
-    read chunk by chunk: g must have a valid order, and none may stay valid
-    for g + e, e a non-edge.  Every valid order of g + e is one of g's, as
-    an added edge only lengthens crossing lists and part of a fan is a fan."""
-    extended = [add_edge(g, u, v) for u, v in g.non_edges()]
-    seen = False
-    for pairs in valid_pairs:
-        if any(_fan_planar(h, pairs).any() for h in extended):
-            return False
-        seen = True
-    return seen
-
-
 def is_maximal_given(g: Graph, orders: Iterable[CircularOrder]) -> bool:
-    """Maximality of g given its valid canonical orders, as
-    :func:`enumerate_embeddings_raw` lists them."""
-    return _maximal(g, (pairs for _, pairs in _order_chunks(orders, g.n)))
+    """Maximality of g among the given orders of its n vertices: some order
+    draws g outer-fan-planar, and none of those stays so with a non-edge
+    added.  Given g's valid canonical orders, as
+    :func:`enumerate_embeddings_raw` lists them, this is g's maximality."""
+    return _maximal(_valid_chunks(g, orders))
 
 
 def is_maximal_outer_fan_planar(g: Graph, max_n: int = DEFAULT_MAX_N) -> bool:
     """Outer-fan-planar, and no single edge addition stays outer-fan-planar.
-    One scan, stopped at the first order that stays valid with an edge
-    added; the test suite checks this against one full scan per non-edge."""
+    One scan, stopped at the first chunk holding an order that stays valid
+    with an edge added; the test suite checks this against one full scan
+    per non-edge."""
     _check_size(g, max_n)
-    return _maximal(g, (pairs for _, pairs in _valid_chunks(g)))
+    return _maximal(_valid_chunks(g))
+
+
+class Scan(NamedTuple):
+    """Every canonical order drawing a graph outer-fan-planar, sorted, and
+    whether the graph is maximal outer-fan-planar."""
+
+    orders: tuple[CircularOrder, ...]
+    maximal: bool
+
+
+def scan(g: Graph, max_n: int = DEFAULT_MAX_N) -> Scan:
+    """:func:`enumerate_embeddings_raw` and
+    :func:`is_maximal_outer_fan_planar` from one scan."""
+    _check_size(g, max_n)
+    orders: list[CircularOrder] = []
+    extendable = False
+    for rows, valid, extends in _valid_chunks(g):
+        if valid.any():
+            orders += _valid_rows(rows, valid)
+            extendable = extendable or extends()
+    return Scan(tuple(orders), bool(orders) and not extendable)

@@ -21,10 +21,10 @@ part, so a pair found not to separate is never tested again further down.
 The search runs one iterative lowpoint depth-first search per vertex,
 O(n (n + m)) per component, and each split re-scans the component it cuts,
 so a chain of splits costs depth times size: a 2 x 400 ladder takes about a
-second.  A component that is a 3-tree (k vertices, 3k - 6 edges, peeled to
-a triangle) skips that search, since a 3-tree is 3-connected: a 3-connected
-input or a rigid skeleton that is one costs one peel; ladders, whose
-squares are no 3-trees, still pay the search.
+second.  A component that is a 3-tree (k vertices, 3k - 6 edges, counted
+by its edge list, peeled to a triangle) skips that search, since a 3-tree
+is 3-connected: a 3-connected input or a rigid skeleton that is one costs
+one peel; ladders, whose squares are no 3-trees, still pay the search.
 
 Representation choice: real edges live inside the S/P/R skeletons they
 belong to.  A parallel node's real edge additionally gets an explicit
@@ -41,11 +41,11 @@ from .errors import StructuralError
 from .graph import (
     Edge,
     Graph,
+    _separation_pairs,
     build_graph,
     components,
     dense_graph,
     is_triconnected,
-    iter_separation_pairs,
     norm_edge,
     require_biconnected,
 )
@@ -123,10 +123,10 @@ def _is_cycle(edges: list[_MEdge], adj: dict[int, list[int]]) -> bool:
     )
 
 
-def _find_split_pair(adj: dict[int, list[int]], after: Edge) -> Edge | None:
-    """The first separating pair of a component in which no pair up to
-    ``after`` separates; None if it is 3-connected."""
-    return next(iter_separation_pairs(adj, after), None)
+def _find_split_pair(adj: dict[int, list[int]], m: int, after: Edge) -> Edge | None:
+    """The first separating pair of a simple component with m edges in which
+    no pair up to ``after`` separates; None if it is 3-connected."""
+    return next(_separation_pairs(adj, m, after), None)
 
 
 def _split(g: Graph) -> tuple[list[tuple[str, list[_MEdge]]], int]:
@@ -156,7 +156,7 @@ def _split(g: Graph) -> tuple[list[tuple[str, list[_MEdge]]], int]:
         if _is_cycle(edges, adj):
             skeletons.append(("S", edges))
             continue
-        pair = _find_split_pair(adj, after)
+        pair = _find_split_pair(adj, len(edges), after)
         if pair is None:
             if len(adj) < 4:
                 raise StructuralError("no split pair in a non-atomic component")
@@ -446,11 +446,14 @@ def verify_tree(t: SpqrTree, g: Graph) -> list[str]:
                     stack.append(y)
         return seen
 
+    spanning = True
     if len(t.nodes) > 1:
         if len(side(t.nodes[0].id, -1)) != len(t.nodes):
             issues.append("tree is not connected")
+            spanning = False
         if len(t.tree_edges) != len(t.nodes) - 1:
             issues.append("tree edge count is not node count minus one")
+            spanning = False
 
     try:
         back = reconstruct(t)
@@ -460,18 +463,72 @@ def verify_tree(t: SpqrTree, g: Graph) -> list[str]:
         issues.append(f"reconstruction failed: {exc}")
 
     # separation semantics: the two sides of each non-Q tree edge share only
-    # the virtual pair's endpoints
+    # the virtual pair's endpoints; a structure that is no tree, reported
+    # above, is cut edge by edge
+    if spanning and t.tree_edges and len({te.id for te in t.tree_edges}) == len(t.tree_edges):
+        shared_of = _shared_across_edges(t, adj).get
+    else:
+
+        def shared_of(te: TreeEdge) -> list[int] | None:
+            near = side(te.x, te.id)
+            vs_a: set[int] = set()
+            vs_b: set[int] = set()
+            for node in t.nodes:
+                (vs_a if node.id in near else vs_b).update(node.vertices)
+            shared = vs_a & vs_b
+            return None if shared <= {te.u, te.v} else sorted(shared)
+
     for te in t.tree_edges:
         if kinds[te.x] == "Q" or kinds[te.y] == "Q":
             continue
-        near = side(te.x, te.id)
-        vs_a: set[int] = set()
-        vs_b: set[int] = set()
-        for node in t.nodes:
-            (vs_a if node.id in near else vs_b).update(node.vertices)
-        shared = vs_a & vs_b
-        if not shared <= {te.u, te.v}:
-            issues.append(
-                f"tree edge {te.id}: sides share vertices {sorted(shared)} beyond the pair"
-            )
+        shared = shared_of(te)
+        if shared is not None:
+            issues.append(f"tree edge {te.id}: sides share vertices {shared} beyond the pair")
     return issues
+
+
+def _shared_across_edges(
+    t: SpqrTree, adj: dict[int, list[tuple[int, int]]]
+) -> dict[TreeEdge, list[int]]:
+    """The tree edges whose two sides share a vertex other than the edge's
+    pair, each with all the shared vertices, sorted.
+
+    One post-order pass from the first node counts each vertex's occurrences
+    below every tree edge: a vertex is on both sides when its count there is
+    neither 0 nor its count in the whole tree.  A node takes over its
+    largest child's counts and adds the others' and its own vertices; the
+    vertices on both sides are kept up to date as counts change, so an edge
+    whose sides share at most its pair is checked in O(1)."""
+    total: dict[int, int] = {}
+    for node in t.nodes:
+        for x in node.vertices:
+            total[x] = total.get(x, 0) + 1
+    by_id = {te.id: te for te in t.tree_edges}
+    root = t.nodes[0].id
+    up: dict[int, tuple[int, int] | None] = {root: None}  # parent and edge id
+    order = [root]
+    for x in order:
+        for y, tid in adj[x]:
+            if y not in up:
+                up[y] = (x, tid)
+                order.append(y)
+    vertices = {node.id: node.vertices for node in t.nodes}
+    below: dict[int, list[tuple[dict[int, int], set[int]]]] = {x: [] for x in order}
+    bad: dict[TreeEdge, list[int]] = {}
+    for x in reversed(order):
+        parts = below.pop(x)
+        counts, both = max(parts, key=lambda part: len(part[0]), default=({}, set()))
+        added = [item for part in parts if part[0] is not counts for item in part[0].items()]
+        for v, k in added + [(v, 1) for v in vertices[x]]:
+            c = counts[v] = counts.get(v, 0) + k
+            if c < total[v]:
+                both.add(v)
+            else:
+                both.discard(v)
+        if up[x] is not None:
+            parent, tid = up[x]
+            te = by_id[tid]
+            if not both <= {te.u, te.v}:
+                bad[te] = sorted(both)
+            below[parent].append((counts, both))
+    return bad

@@ -121,8 +121,7 @@ def _check_one(
     result.graphs_checked += 1
     tree = spqr.build_spqr(g)
     outcome = _recognize_from_tree(g, tree)
-    orders = oracle.enumerate_embeddings_raw(g)
-    maximal = oracle.is_maximal_given(g, orders)
+    orders, maximal = oracle.scan(g)
     if outcome.accepted != maximal:
         result.disagreements.append(
             {

@@ -3,9 +3,11 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from outerfan import oracle
-from outerfan.circular import check_outer_fan_planar, classify_edge, EdgeClass
+from outerfan.circular import EdgeClass, check_outer_fan_planar, chords_cross, classify_edge
 from outerfan.errors import SizeLimitError
 from outerfan.graph import (
     add_edge,
@@ -123,13 +125,29 @@ def test_density_bound_on_accepted():
             assert g.m <= 5 * g.n - 10
 
 
-def kernel_agrees_with_checker(g, orders):
-    """The one kernel's verdict per order equals the readable checker's;
-    returns the set of verdicts seen."""
-    rows = np.array(orders, dtype=np.int8).reshape(len(orders), g.n)
-    got = oracle._fan_planar(g, oracle._position_pairs(rows)).tolist()
-    assert got == [check_outer_fan_planar(g, order).verdict for order in orders], g.edge_list()
-    return set(got)
+def kernel_verdicts(g, orders=None):
+    """The one kernel's verdict per order, as (order, verdict) pairs: on the
+    stored table when ``orders`` is None, on per-chunk tables built for
+    ``orders`` otherwise."""
+    got = []
+    for rows, valid, _ in oracle._valid_chunks(g, orders):
+        bits = np.unpackbits(valid.view(np.uint8), count=len(rows)).astype(bool)
+        got += zip(map(tuple, rows.tolist()), bits.tolist())
+    return got
+
+
+def kernel_agrees_with_checker(g, orders=None):
+    """The one kernel's verdict per order equals the readable checker's, on
+    tables built for ``orders`` and, when they are None, for every canonical
+    order and on the stored table too; returns the set of verdicts seen."""
+    stored = orders is None
+    if stored:
+        orders = list(oracle.candidate_orders(g.n))
+    expected = [(order, check_outer_fan_planar(g, order).verdict) for order in orders]
+    assert kernel_verdicts(g, orders) == expected, g.edge_list()
+    if stored:
+        assert kernel_verdicts(g) == expected, g.edge_list()
+    return {verdict for _, verdict in expected}
 
 
 def test_fast_paths_agree_with_readable_checker():
@@ -139,17 +157,16 @@ def test_fast_paths_agree_with_readable_checker():
     pairs = list(combinations(range(5), 2))
     for mask in range(1 << 10):
         g = build_graph(5, [p for i, p in enumerate(pairs) if mask >> i & 1])
-        kernel_agrees_with_checker(g, list(oracle.candidate_orders(5)))
+        kernel_agrees_with_checker(g)
     rng = random.Random(9)
     for _ in range(60):
         n = rng.randint(6, 8)
         all_pairs = list(combinations(range(n), 2))
         m = rng.randint(n, min(len(all_pairs), 5 * n - 10))
         g = build_graph(n, rng.sample(all_pairs, m))
-        kernel_agrees_with_checker(g, list(oracle.candidate_orders(n)))
-    # from n = 12 on, the C(n,2) position pairs take two 64-bit words; the
-    # pairs in the second word lie among the last positions (2 pairs at
-    # n = 12, 27 at n = 14); sampled orders of sparse random graphs, with
+        kernel_agrees_with_checker(g)
+    # above n = 10 the tables hold only the rows a graph uses, built per
+    # chunk; sampled orders of sparse random graphs at n = 12 to 14, with
     # both verdicts seen
     for n in (12, 13, 14):
         all_pairs = list(combinations(range(n), 2))
@@ -167,6 +184,32 @@ def test_fast_paths_agree_with_readable_checker():
             g = build_graph(n, [p for i, p in enumerate(pairs) if mask >> i & 1])
             assert oracle.enumerate_embeddings_raw(g) == (tuple(range(n)),)
             assert oracle.is_maximal_outer_fan_planar(g) == (g.m == len(pairs))
+
+
+@st.composite
+def graphs_with_orders(draw):
+    n = draw(st.integers(0, 10))
+    pairs = list(combinations(range(n), 2))
+    edges = draw(st.sets(st.sampled_from(pairs), max_size=len(pairs))) if pairs else set()
+    return build_graph(n, edges), tuple(draw(st.permutations(range(n))))
+
+
+def crossed_by_two_disjoint_edges(g, order):
+    edges = g.edge_list()
+    for e in edges:
+        crossers = [f for f in edges if chords_cross(order, e, f)]
+        if any(not set(f) & set(h) for f, h in combinations(crossers, 2)):
+            return True
+    return False
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs_with_orders())
+def test_fan_planar_iff_no_edge_crossed_by_two_disjoint_edges(case):
+    """The characterization the kernel rests on: crossers of a chord that
+    pairwise share an endpoint never form a triangle."""
+    g, order = case
+    assert crossed_by_two_disjoint_edges(g, order) == (not check_outer_fan_planar(g, order).verdict)
 
 
 def maximal_by_full_scans(g):

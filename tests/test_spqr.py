@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import re
 import sys
@@ -18,6 +19,7 @@ from outerfan.graph import (
 )
 from outerfan.recognizer import recognize
 from outerfan.spqr import (
+    SpqrTree,
     _MEdge,
     build_spqr,
     node_views,
@@ -173,7 +175,7 @@ def test_resumed_pair_search_builds_the_same_tree(monkeypatch):
     graphs += [cycle_plus_chords(n, rng) for n in (12, 20, 30)]
     resumed = [tree_to_json(build_spqr(g)) for g in graphs]
     search = spqr._find_split_pair
-    monkeypatch.setattr(spqr, "_find_split_pair", lambda adj, after: search(adj, (-1, -1)))
+    monkeypatch.setattr(spqr, "_find_split_pair", lambda adj, m, after: search(adj, m, (-1, -1)))
     assert [tree_to_json(build_spqr(g)) for g in graphs] == resumed
 
 
@@ -328,3 +330,82 @@ def test_deep_tree_needs_no_deep_recursion():
     out = recognize(g)
     assert not out.accepted
     assert re.fullmatch(r"series node \d+ is a cycle of length 4", out.reason)
+
+
+# ---------------------------------------------------------------------------
+# Reference separation check: one walk per tree edge, which verify_tree's
+# post-order pass replaced
+# ---------------------------------------------------------------------------
+
+
+def reference_separation_issues(t):
+    """For each non-Q tree edge, the nodes reachable from its first end
+    without it against the rest: their vertex sets may share only the
+    edge's pair."""
+    kinds = {n.id: n.kind for n in t.nodes}
+    adj = {n.id: [] for n in t.nodes}
+    for te in t.tree_edges:
+        adj[te.x].append((te.y, te.id))
+        adj[te.y].append((te.x, te.id))
+    issues = []
+    for te in t.tree_edges:
+        if kinds[te.x] == "Q" or kinds[te.y] == "Q":
+            continue
+        near, stack = {te.x}, [te.x]
+        while stack:
+            for y, tid in adj[stack.pop()]:
+                if tid != te.id and y not in near:
+                    near.add(y)
+                    stack.append(y)
+        vs_a, vs_b = set(), set()
+        for node in t.nodes:
+            (vs_a if node.id in near else vs_b).update(node.vertices)
+        shared = vs_a & vs_b
+        if not shared <= {te.u, te.v}:
+            issues.append(f"tree edge {te.id}: sides share vertices {sorted(shared)} beyond the pair")
+    return issues
+
+
+def corrupted(t, rng):
+    """t with one node's vertex list changed: a vertex of the tree joins it,
+    or, in a P or Q node, whose vertex list no skeleton check reads whole,
+    replaces one of its vertices."""
+    node = rng.choice(t.nodes)
+    vs = list(node.vertices)
+    other = rng.choice(sorted({x for n in t.nodes for x in n.vertices} - set(vs)))
+    if node.kind in "PQ" and rng.random() < 0.5:
+        vs[rng.randrange(len(vs))] = other
+    else:
+        vs.append(other)
+    nodes = list(t.nodes)
+    nodes[node.id] = dataclasses.replace(node, vertices=tuple(vs))
+    return SpqrTree(tuple(nodes), t.tree_edges)
+
+
+def test_separation_check_matches_the_per_edge_walk():
+    """verify_tree's separation issues, messages and order, equal the walk's
+    on built trees, on trees with one node's vertices corrupted, and on
+    structures that are no tree (a tree edge dropped)."""
+    rng = random.Random(1011)
+    graphs = [sparse_biconnected(n, rng) for n in range(4, 17) for _ in range(10)]
+    graphs += [cycle_plus_chords(n, rng) for n in range(6, 41, 4)]
+    graphs += [grown_graph(n, rng) for n in (4, 6, 9, 16)]
+    graphs += [
+        two_sum(grown_graph(rng.randint(4, 12), rng), grown_graph(rng.randint(4, 12), rng), rng)
+        for _ in range(10)
+    ]
+    graphs.append(ladder(30))
+    flagged = 0
+    for g in graphs:
+        t = build_spqr(g)
+        trees = [t]
+        if t.tree_edges:
+            trees += [corrupted(t, rng) for _ in range(4)]
+            trees.append(SpqrTree(t.nodes, t.tree_edges[1:]))
+        for tree in trees:
+            issues = verify_tree(tree, g)
+            expected = reference_separation_issues(tree)
+            assert [i for i in issues if "sides share" in i] == expected
+            assert issues[len(issues) - len(expected) :] == expected
+            flagged += bool(expected)
+    assert flagged > 200
