@@ -248,7 +248,8 @@ def _number(record: list[tuple[str, list[_MEdge]]], links: int) -> SpqrTree:
         record.append(("Q", [_MEdge(e.pair, "real", link)]))
 
     # deterministic ordering: nodes by smallest contained vertex, then
-    # shape; tree edges by their two nodes and poles
+    # shape; tree edges by their two nodes and poles; a parallel node's
+    # edges, which share one pair, by their tree edge ids
     keyed = []
     for kind, skel in record:
         vs = sorted(_vertices(skel))
@@ -276,7 +277,7 @@ def _number(record: list[tuple[str, list[_MEdge]]], links: int) -> SpqrTree:
             tuple(key[1]),
             tuple(
                 SkeletonEdge(*e.pair, kind=e.kind, link=tid.get(e.link))
-                for e in sorted(skel, key=lambda e: (e.pair, e.kind, -1 if e.link is None else e.link))
+                for e in sorted(skel, key=lambda e: (e.pair, e.kind, tid.get(e.link, -1)))
             ),
         )
         for nid, (key, kind, skel) in enumerate(keyed)

@@ -308,7 +308,7 @@ def test_builder_matches_the_recursive_reference():
         three_tree_skeletons += sum(
             n.kind == "R" and len(n.edges) == 3 * len(n.vertices) - 6 for n in t.nodes
         )
-    # the order of a parallel node's virtual edges follows the link numbering
+    # the order of a parallel node's virtual edges follows the tree edge ids
     assert bundles > 100
     assert three_tree_skeletons >= len(grown) + 2 * len(sums)
 
