@@ -11,16 +11,18 @@ finds the cut vertices in O(n + m).  The separating-pair search
 vertex u, in increasing order, and reads off every pair (u, v) whose removal
 disconnects G: O(n (n + m)) when no pair separates.  It yields lazily, in
 lexicographic order, so that a caller needing only the first pair stops
-there; a caller that already knows no pair up to some pair separates passes
-it as ``after`` and the search resumes above it (the SPQR split does, for
-its split parts).  Both searches keep an explicit stack, so no input size
-can exhaust the interpreter's recursion limit.
+there.  It answers :func:`is_triconnected` and :func:`separation_pairs`,
+and so checks the rigid skeletons of SPQR trees; the trees themselves are
+built by a linear-time pass of their own (:mod:`outerfan.spqr`).  Both
+searches keep an explicit stack, so no input size can exhaust the
+interpreter's recursion limit.
 
 One elimination (:func:`peel_degree3_k4`) removes degree-3 vertices of
-4-cliques, least first: it is the recognizer's peel and the pair search's
-certificate.  A graph on k >= 4 vertices and 3k - 6 edges that it reduces
-to a triangle is a 3-tree, hence 3-connected (K4 is, and joining a vertex
-to a triangle keeps that), so the search yields nothing after the peel.
+4-cliques, least first.  A graph on k >= 4 vertices and 3k - 6 edges that
+it reduces to a triangle is a 3-tree, hence 3-connected (K4 is, and joining
+a vertex to a triangle keeps that).  So the elimination is the pair
+search's certificate, which then yields nothing, and the recognizer's
+3-tree test, whose peel it goes on to reinsert.
 
 The on-disk format for graphs is a plain edge list: a header line ``n m``
 followed by ``m`` lines ``u v`` with 0-based ids.  ``#`` starts a comment.
@@ -243,34 +245,23 @@ def peel_degree3_k4(
     return steps, left
 
 
-def iter_separation_pairs(
-    adj: Mapping[int, Collection[int]], after: tuple[int, int] = (-1, -1)
-) -> Iterator[tuple[int, int]]:
-    """Lazily yield, in lexicographic order, every vertex pair above ``after``
-    whose removal disconnects the graph ``adj`` (vertex to neighbors) on at
-    least three vertices.  A 3-tree yields nothing without a search."""
-    return _separation_pairs(adj, sum(map(len, adj.values())) // 2, after)
-
-
-def _separation_pairs(
-    adj: Mapping[int, Collection[int]], m: int, after: tuple[int, int]
-) -> Iterator[tuple[int, int]]:
-    """:func:`iter_separation_pairs` of a graph known to have m edges."""
+def iter_separation_pairs(adj: Mapping[int, Collection[int]]) -> Iterator[tuple[int, int]]:
+    """Lazily yield, in lexicographic order, every vertex pair whose removal
+    disconnects the graph ``adj`` (vertex to neighbors) on at least three
+    vertices.  A 3-tree yields nothing without a search."""
     k = len(adj)
-    if k >= 4 and m == 3 * k - 6:
+    if k >= 4 and sum(map(len, adj.values())) == 2 * (3 * k - 6):
         if len(peel_degree3_k4(adj)[1]) == 3:
             return
     vs = sorted(adj)
     index = {v: i for i, v in enumerate(vs)}
     nbrs = [[index[w] for w in adj[v]] for v in vs]
     for i, u in enumerate(vs):
-        if u < after[0]:
-            continue
         # G - {u, v} has count - 1 components besides the pieces v's
         # component of G - u falls into
         count, pieces = _pieces_left(nbrs, i)
         for j in range(i + 1, len(vs)):
-            if count - 1 + pieces[j] >= 2 and (u, vs[j]) > after:
+            if count - 1 + pieces[j] >= 2:
                 yield (u, vs[j])
 
 

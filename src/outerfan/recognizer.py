@@ -2,7 +2,10 @@
 
 :func:`recognize` rejects graphs that are not biconnected, builds the SPQR
 tree once and dispatches on it.  A single rigid node is a 3-connected graph
-(:func:`recognize_3connected` takes one with prescribed outer edges):
+(:func:`recognize_3connected` takes one with prescribed outer edges).  A
+graph with 3n - 6 edges is peeled first: if the peel leaves a triangle, the
+graph is a 3-tree, hence 3-connected, and goes to the peel path below with
+that peel and no tree.  A 3-connected graph is recognized as follows:
 
 * complete 2-hop graphs (the cycle plus all 2-hop chords) are detected by a
   seeded greedy reconstruction of the boundary cycle and are always maximal;
@@ -12,8 +15,7 @@ tree once and dispatches on it.  A single rigid node is a 3-connected graph
   graph that pass the fan-planarity check;
 * otherwise it is peeled down to a triangle by repeatedly removing the
   least degree-3 vertex of a 4-clique (the elimination
-  :func:`~outerfan.graph.peel_degree3_k4`, which the separating-pair search
-  shares), then rebuilt by reinserting the
+  :func:`~outerfan.graph.peel_degree3_k4`), then rebuilt by reinserting the
   vertices between their neighbors while preserving fan-planarity,
   branching over the (at most two) feasible slots.  Each slot is checked
   incrementally: inserting a vertex leaves every old crossing as it was, so
@@ -60,6 +62,10 @@ from .graph import (
     norm_edge,
     peel_degree3_k4,
 )
+
+# what peel_degree3_k4 returns: the removed vertices with their neighbor
+# triples, and the adjacency left
+Peel = tuple[list[tuple[int, tuple[int, int, int]]], dict[int, set[int]]]
 
 
 class Verdict(Enum):
@@ -250,15 +256,18 @@ def _slot_is_fan_planar(adj, order: CircularOrder, pos, v: int) -> bool:
     ) and fan_planar_edges(adj, order, pos, crossed)
 
 
-def _peel_and_reinsert(g: Graph, outer_required: frozenset[Edge], raw: _RawResult) -> None:
+def _peel_and_reinsert(
+    g: Graph, outer_required: frozenset[Edge], raw: _RawResult, peel: Peel | None
+) -> None:
     """Algorithmic core for 3-connected inputs that are not complete 2-hop.
 
     Peels degree-3 vertices of 4-cliques down to a triangle while keeping
     edge and triangle marks, then reinserts in reverse order.  Marked edges
     must stay on the outer face until their marking vertex returns; the
-    required-outer edges stay marked throughout.
+    required-outer edges stay marked throughout.  ``peel`` is g's
+    :func:`~outerfan.graph.peel_degree3_k4` if the caller has it.
     """
-    steps, adj = peel_degree3_k4(dict(enumerate(g.adj)))
+    steps, adj = peel if peel is not None else peel_degree3_k4(dict(enumerate(g.adj)))
     marks: dict[Edge, int | None] = {e: None for e in outer_required}
     marked_triangles: list[frozenset[int]] = []
     stack: list[PeelRecord] = []
@@ -356,9 +365,12 @@ def _peel_and_reinsert(g: Graph, outer_required: frozenset[Edge], raw: _RawResul
     raw.orders = final
 
 
-def _recognize_3connected_raw(g: Graph, outer_required: frozenset[Edge]) -> _RawResult:
+def _recognize_3connected_raw(
+    g: Graph, outer_required: frozenset[Edge], peel: Peel | None = None
+) -> _RawResult:
     """Full drawing set (not deduplicated) for a 3-connected graph: a rigid
-    SPQR node, or an input :func:`recognize_3connected` has checked."""
+    SPQR node, an input :func:`recognize_3connected` has checked, or a
+    3-tree given with its ``peel``."""
     bad = [e for e in outer_required if e not in g.edges]
     if bad:
         raise StructuralError(f"required outer edges not in graph: {bad}")
@@ -408,7 +420,7 @@ def _recognize_3connected_raw(g: Graph, outer_required: frozenset[Edge]) -> _Raw
         return raw
 
     raw.path = "peel"
-    _peel_and_reinsert(g, outer_required, raw)
+    _peel_and_reinsert(g, outer_required, raw, peel)
     return raw
 
 
@@ -674,6 +686,10 @@ def recognize(g: Graph) -> RecognitionOutcome:
         return RecognitionOutcome(
             Verdict.REJECTED_NOT_BICONNECTED, "graph is not biconnected", (), ()
         )
+    if g.n >= 4 and g.m == 3 * g.n - 6:
+        peel = peel_degree3_k4(dict(enumerate(g.adj)))
+        if len(peel[1]) == 3:  # a 3-tree: its tree would be one R node
+            return _finish(g, _recognize_3connected_raw(g, frozenset(), peel))
     return _recognize_from_tree(g, spqr.build_spqr(g))
 
 

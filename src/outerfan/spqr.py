@@ -2,29 +2,24 @@
 
 The tree is built in three flat passes, none of which recurses, so trees
 thousands of nodes deep build at the default recursion limit.  The split
-pass takes components off an explicit worklist and cuts each at its first
-separation pair: every edge class of the pair becomes a part, closed by a
-virtual edge on the pair.  Two parts and no real edge on the pair share one
-link; otherwise the real edge and one virtual edge per part form a central
-bond.  A cycle becomes a series skeleton and a component with no separation
-pair a rigid one.  The merge pass contracts series-series and
-parallel-parallel links with one union-find pass, which gives the classical
-unique decomposition into series (cycle), parallel (edge bundle) and rigid
+pass cuts the graph into its split components in linear time, after
+Hopcroft and Tarjan, "Dividing a graph into triconnected components", SIAM
+J. Comput. 1973, as corrected by Gutwenger and Mutzel, "A linear time
+implementation of SPQR-trees", GD 2000: a palm-tree search with lowpoints,
+a bucket sort of the arcs, a renumbering search, and one path search that
+cuts a component off at every separation pair it meets and closes both
+sides with a virtual edge.  Each component is a bond, a triangle or
+3-connected.  The merge pass contracts series-series and parallel-parallel
+links with one union-find pass, which gives the classical unique
+decomposition into series (cycle), parallel (edge bundle) and rigid
 (3-connected) nodes.  The numbering pass orders nodes and tree edges
-canonically and builds each node once.
+canonically and builds each node once, so the tree does not depend on the
+order in which the split met its components.  A 2 x 5000 ladder builds in
+about a second.
 
-Each split decides its skeleton's kind once, from one call of the package's
-shared, early-exit separating-pair search
-(:func:`outerfan.graph.iter_separation_pairs`).  The split parts resume that
-search above the pair the split chose, since no pair up to it separates any
-part, so a pair found not to separate is never tested again further down.
-The search runs one iterative lowpoint depth-first search per vertex,
-O(n (n + m)) per component, and each split re-scans the component it cuts,
-so a chain of splits costs depth times size: a 2 x 400 ladder takes about a
-second.  A component that is a 3-tree (k vertices, 3k - 6 edges, counted
-by its edge list, peeled to a triangle) skips that search, since a 3-tree
-is 3-connected: a 3-connected input or a rigid skeleton that is one costs
-one peel; ladders, whose squares are no 3-trees, still pay the search.
+:func:`verify_tree` checks a tree against its graph without the split: its
+rigid skeletons go to :func:`outerfan.graph.is_triconnected`, whose
+separating-pair search is independent of it.
 
 Representation choice: real edges live inside the S/P/R skeletons they
 belong to.  A parallel node's real edge additionally gets an explicit
@@ -35,15 +30,15 @@ series and rigid real edges carry no Q leaves.
 from __future__ import annotations
 
 import json
+from collections import deque
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import StructuralError
 from .graph import (
     Edge,
     Graph,
-    _separation_pairs,
     build_graph,
-    components,
     dense_graph,
     is_triconnected,
     norm_edge,
@@ -114,83 +109,410 @@ def _vertices(edges: list[_MEdge]) -> set[int]:
     return vs
 
 
-def _is_cycle(edges: list[_MEdge], adj: dict[int, list[int]]) -> bool:
-    # components are simple: as many edges as vertices, all of degree 2
-    return (
-        len(edges) == len(adj) >= 3
-        and all(len(nbrs) == 2 for nbrs in adj.values())
-        and len(components(adj)) == 1
+def _component_kind(edges: list[_MEdge]) -> str:
+    """A split component is a bond (one pair), a cycle (as many edges as
+    vertices) or 3-connected."""
+    if len({e.pair for e in edges}) == 1:
+        return "P"
+    return "S" if len(edges) == len(_vertices(edges)) else "R"
+
+
+class _PalmTree(NamedTuple):
+    """A palm tree of a biconnected graph on Hopcroft and Tarjan's new
+    numbers 1..n, 1 being the root, as the path search takes it.  Arc ids
+    0..m-1 are the edges of ``g.edge_list()``; a tree arc points from a
+    father to its child, a frond from a vertex to an ancestor.  Lists
+    indexed by vertex have an unused entry 0."""
+
+    node: list[int]  # new number to vertex of g
+    low1: list[int]
+    low2: list[int]
+    nd: list[int]  # descendants, the vertex included
+    father: list[int]  # 0 at the root
+    arcs: list[list[int]]  # a vertex's out-arcs by phi
+    src: list[int]
+    dst: list[int]
+    tree: list[bool]
+    starts: list[bool]  # the arcs that start a path
+    highs: list[deque[list]]  # the fronds entering a vertex in the order found
+    in_high: list[list | None]  # a frond's [source, alive] entry there
+
+
+def _palm_tree(g: Graph, pairs: list[Edge]) -> _PalmTree:
+    """Hopcroft and Tarjan's first two passes over g, each with an explicit
+    stack: a palm tree from vertex 0 with lowpt1, lowpt2 and nd of every
+    vertex; then the arcs bucket-sorted by phi, and a second search in that
+    order that renumbers the vertices (a vertex before its descendants, a
+    later child's subtree before an earlier one's), marks the arcs that
+    start a path and lists the fronds entering each vertex."""
+    n, m = g.n, len(pairs)
+    inc: list[list[int]] = [[] for _ in range(n)]
+    for e, (u, v) in enumerate(pairs):
+        inc[u].append(e)
+        inc[v].append(e)
+    num = [0] * n
+    low1 = [0] * n
+    low2 = [0] * n
+    nd = [1] * n
+    father = [-1] * n
+    src = [0] * m
+    dst = [0] * m
+    tree = [False] * m
+    seen = [False] * m
+    num[0] = low1[0] = low2[0] = count = 1
+    nxt = [0] * n
+    stack = [0]
+    while stack:
+        v = stack[-1]
+        arcs = inc[v]
+        i = nxt[v]
+        while i < len(arcs):
+            e = arcs[i]
+            i += 1
+            if seen[e]:
+                continue
+            seen[e] = True
+            a, b = pairs[e]
+            w = a + b - v
+            src[e], dst[e] = v, w
+            if not num[w]:
+                tree[e] = True
+                father[w] = v
+                count += 1
+                num[w] = low1[w] = low2[w] = count
+                nxt[v] = i
+                stack.append(w)
+                break
+            x = num[w]  # a frond to an ancestor
+            if x < low1[v]:
+                low1[v], low2[v] = x, low1[v]
+            elif low1[v] < x < low2[v]:
+                low2[v] = x
+        else:
+            stack.pop()
+            if stack:
+                p = father[v]
+                if low1[v] < low1[p]:
+                    low2[p] = min(low1[p], low2[v])
+                    low1[p] = low1[v]
+                elif low1[v] == low1[p]:
+                    low2[p] = min(low2[p], low2[v])
+                else:
+                    low2[p] = min(low2[p], low1[v])
+                nd[p] += nd[v]
+
+    buckets: list[list[int]] = [[] for _ in range(3 * n + 3)]
+    for e in range(m):
+        w = dst[e]
+        if not tree[e]:
+            buckets[3 * num[w] + 1].append(e)
+        elif low2[w] < num[src[e]]:
+            buckets[3 * low1[w]].append(e)
+        else:
+            buckets[3 * low1[w] + 2].append(e)
+    out: list[list[int]] = [[] for _ in range(n)]
+    for bucket in buckets:
+        for e in bucket:
+            out[src[e]].append(e)
+
+    new = [0] * n
+    starts = [False] * m
+    highs: list[deque[list]] = [deque() for _ in range(n + 1)]
+    in_high: list[list | None] = [None] * m
+    new[0] = 1
+    count = n  # the last number of the subtree being entered
+    path_starts = True
+    nxt = [0] * n
+    stack = [0]
+    while stack:
+        v = stack[-1]
+        arcs = out[v]
+        i = nxt[v]
+        while i < len(arcs):
+            e = arcs[i]
+            i += 1
+            if path_starts:
+                path_starts = False
+                starts[e] = True
+            w = dst[e]
+            if tree[e]:
+                new[w] = count - nd[w] + 1
+                nxt[v] = i
+                stack.append(w)
+                break
+            in_high[e] = entry = [new[v], True]
+            highs[new[w]].append(entry)
+            path_starts = True
+        else:
+            stack.pop()
+            count -= 1
+
+    node = [0] * (n + 1)
+    renum = [0] * (n + 1)  # old number to new
+    for v in range(n):
+        node[new[v]] = v
+        renum[num[v]] = new[v]
+    new_low1 = [0] * (n + 1)
+    new_low2 = [0] * (n + 1)
+    new_nd = [0] * (n + 1)
+    new_father = [0] * (n + 1)
+    new_arcs: list[list[int]] = [[] for _ in range(n + 1)]
+    for v in range(n):
+        x = new[v]
+        new_low1[x], new_low2[x], new_nd[x] = renum[low1[v]], renum[low2[v]], nd[v]
+        new_father[x] = new[father[v]] if v else 0
+        new_arcs[x] = out[v]
+    return _PalmTree(
+        node, new_low1, new_low2, new_nd, new_father, new_arcs,
+        [new[x] for x in src], [new[x] for x in dst], tree, starts, highs, in_high,
     )
 
 
-def _find_split_pair(adj: dict[int, list[int]], m: int, after: Edge) -> Edge | None:
-    """The first separating pair of a simple component with m edges in which
-    no pair up to ``after`` separates; None if it is 3-connected."""
-    return next(_separation_pairs(adj, m, after), None)
-
-
 def _split(g: Graph) -> tuple[list[tuple[str, list[_MEdge]]], int]:
-    """Split a biconnected graph into kinded skeletons with an explicit
-    worklist; returns the skeletons and the number of links made.
+    """Split a biconnected graph into its split components, each kinded;
+    returns them and the number of links (virtual edges) made.
 
-    A work item ``(edges, adj, after, bond)`` is a component and its
-    adjacency, in which no pair up to ``after`` separates; its parts resume
-    the pair search above the pair it is split at.  A part that hangs from
-    a central ``bond`` takes its link when it leaves the worklist, so links
-    are numbered depth first.  Every part is simple, its one edge on the
-    split pair being virtual, so its adjacency is the parent's cut down.
-    Skeletons are recorded in any order: the numbering pass sorts them.
+    Hopcroft and Tarjan's path search, with Gutwenger and Mutzel's
+    corrections, over the palm tree of :func:`_palm_tree` and an explicit
+    stack.  It keeps the candidate type-2 pairs on TSTACK as triples
+    (h, a, b) and the edges not yet split off on ESTACK, and cuts a
+    component off at every type-2 and type-1 pair it meets, closing it and
+    the rest by a virtual edge; an edge parallel to a new virtual edge goes
+    into a bond with it at once.  The graph it works on changes as it goes:
+    a virtual edge takes the place of what was cut off, as a tree arc or a
+    frond, and ``deg`` follows the degrees.  Edge ids from m on are the
+    virtual edges.  Skeletons are recorded in any order: the numbering
+    pass sorts them.
     """
-    skeletons: list[tuple[str, list[_MEdge]]] = []
-    links = 0
-    edges = [_MEdge(p, "real", None) for p in g.edge_list()]
-    work: list[tuple[list[_MEdge], dict[int, list[int]], Edge, list[_MEdge] | None]] = [
-        (edges, {x: list(nbrs) for x, nbrs in enumerate(g.adj)}, (-1, -1), None)
-    ]
-    while work:
-        edges, adj, after, bond = work.pop()
-        if bond is not None:
-            bond.append(_MEdge(after, "virtual", links))
-            edges.append(_MEdge(after, "virtual", links))
-            links += 1
-        if _is_cycle(edges, adj):
-            skeletons.append(("S", edges))
-            continue
-        pair = _find_split_pair(adj, len(edges), after)
-        if pair is None:
-            if len(adj) < 4:
-                raise StructuralError("no split pair in a non-atomic component")
-            skeletons.append(("R", edges))
-            continue
-        comps = components(adj, pair)
-        side = {x: i for i, comp in enumerate(comps) for x in comp}
-        central: list[_MEdge] = []  # the real edge on the pair, if any
-        classes: list[list[_MEdge]] = [[] for _ in comps]
-        for e in edges:
-            u, v = e.pair
-            if e.pair == pair:
-                central.append(e)
-            else:
-                classes[side[u] if u in side else side[v]].append(e)
-        # a part's vertices keep their neighbors; each pole keeps those in
-        # the part and gains the other pole
-        parts = []
-        for comp in comps:
-            part = {x: adj[x] for x in comp}
-            for p, q in (pair, pair[::-1]):
-                part[p] = [y for y in adj[p] if y in comp] + [q]
-            parts.append(part)
-        if not central and len(classes) == 2:
-            work += [
-                (cls + [_MEdge(pair, "virtual", links)], part, pair, None)
-                for cls, part in zip(classes, parts)
-            ][::-1]
-            links += 1
-            continue
-        # a central bond of the real edge and one virtual edge per class
-        skeletons.append(("P", central))
-        work += [(cls, part, pair, central) for cls, part in zip(classes, parts)][::-1]
-    return skeletons, links
+    n = g.n
+    pairs = g.edge_list()
+    m = len(pairs)
+    node, L1, L2, ND, F, A, S, T, tree, starts, H, in_high = _palm_tree(g, pairs)
+    deg = [0] + [g.degree(v) for v in node[1:]]
+    tree_arc = [0] * (n + 1)  # the arc into a vertex from its father
+    for e in range(m):
+        if tree[e]:
+            tree_arc[T[e]] = e
+    slot = [0] * m  # an arc's index in A[S[arc]], where -1 marks it deleted
+    for arcs in A:
+        for i, e in enumerate(arcs):
+            slot[e] = i
+
+    def high(x: int) -> int:
+        """The source of the first frond entering x still there, 0 if none."""
+        entries = H[x]
+        while entries and not entries[0][1]:
+            entries.popleft()
+        return entries[0][0] if entries else 0
+
+    def del_high(e: int) -> None:
+        entry = in_high[e]
+        if entry is not None:
+            entry[1] = False
+            in_high[e] = None
+
+    def new_edge(x: int, y: int) -> int:
+        S.append(x)
+        T.append(y)
+        tree.append(False)
+        slot.append(0)
+        in_high.append(None)
+        return len(S) - 1
+
+    first = [0] * (n + 1)
+
+    def first_child(x: int) -> int:
+        """The head of x's first undeleted arc, 0 if none is left."""
+        arcs, k = A[x], first[x]
+        while k < len(arcs) and arcs[k] < 0:
+            k += 1
+        first[x] = k
+        return T[arcs[k]] if k < len(arcs) else 0
+
+    EOS = (0, -1, 0)  # end of a segment; its a is below every vertex
+    tstack = [EOS]  # TSTACK: triples (h, a, b)
+    estack: list[int] = []
+    comps: list[list[int]] = []
+    nxt = [0] * (n + 1)
+    outv = [0] * (n + 1)  # a vertex's out-arcs less its tree arcs finished
+    entered = [0] * (n + 1)  # the arc a vertex's search descended through
+    outv[1] = len(A[1])
+    stack = [1]
+    while stack:
+        v = stack[-1]
+        arcs = A[v]
+        i = nxt[v]
+        while i < len(arcs):
+            e = arcs[i]
+            w = T[e]
+            if tree[e]:
+                if starts[e]:
+                    lw = L1[w]
+                    if tstack[-1][1] > lw:
+                        y = 0
+                        while tstack[-1][1] > lw:
+                            h, _, b = tstack.pop()
+                            y = max(y, h)
+                        tstack.append((y, lw, b))
+                    else:
+                        tstack.append((w + ND[w] - 1, lw, v))
+                    tstack.append(EOS)
+                nxt[v] = i
+                entered[v] = e
+                outv[w] = len(A[w])
+                stack.append(w)
+                break
+            if starts[e]:
+                if tstack[-1][1] > w:
+                    y = 0
+                    while tstack[-1][1] > w:
+                        h, _, b = tstack.pop()
+                        y = max(y, h)
+                    tstack.append((y, w, b))
+                else:
+                    tstack.append((v, w, v))
+            estack.append(e)
+            i += 1
+        else:
+            stack.pop()
+            if not stack:
+                break
+            # back from w to its father v over the arc in slot i of A[v]
+            w = v
+            v = stack[-1]
+            arcs = A[v]
+            i = nxt[v]
+            e = entered[v]
+            estack.append(tree_arc[w])
+            # type-2 pairs (v, b): from a triple with a = v, or around a
+            # child w of degree 2 that has a child
+            while v != 1:
+                h, a, b = tstack[-1]
+                deg2 = deg[w] == 2 and first_child(w) > w
+                if a != v and not deg2:
+                    break
+                if a == v and F[b] == v:
+                    tstack.pop()
+                    continue
+                e_ab = -1
+                if deg2:
+                    # w has degree 2 and a child x: split off the path v-w-x
+                    e1 = estack.pop()
+                    e2 = estack.pop()
+                    A[w][slot[e2]] = -1
+                    x = T[e2]
+                    virtual = new_edge(v, x)
+                    deg[x] -= 1
+                    deg[v] -= 1
+                    comps.append([e1, e2, virtual])
+                    if estack and S[estack[-1]] == x and T[estack[-1]] == v:
+                        e_ab = estack.pop()
+                        A[x][slot[e_ab]] = -1
+                        del_high(e_ab)
+                else:
+                    tstack.pop()
+                    comp = []
+                    while estack:
+                        xy = estack[-1]
+                        x, y = S[xy], T[xy]
+                        if not (a <= x <= h and a <= y <= h):
+                            break
+                        estack.pop()
+                        if (x == a and y == b) or (x == b and y == a):
+                            e_ab = xy
+                            A[x][slot[xy]] = -1
+                            del_high(xy)
+                        else:
+                            if x != v or slot[xy] != i:
+                                A[x][slot[xy]] = -1
+                                del_high(xy)
+                            comp.append(xy)
+                            deg[x] -= 1
+                            deg[y] -= 1
+                    virtual = new_edge(a, b)
+                    comp.append(virtual)
+                    comps.append(comp)
+                    x = b
+                if e_ab >= 0:
+                    bond = new_edge(v, x)
+                    comps.append([e_ab, virtual, bond])
+                    virtual = bond
+                    deg[x] -= 1
+                    deg[v] -= 1
+                estack.append(virtual)
+                arcs[i] = virtual
+                slot[virtual] = i
+                deg[x] += 1
+                deg[v] += 1
+                F[x] = v
+                tree_arc[x] = virtual
+                tree[virtual] = True
+                w = x
+            # a type-1 pair (lowpt1(w), v)
+            lw = L1[w]
+            if L2[w] >= v > lw and (F[v] != 1 or outv[v] >= 2):
+                comp = []
+                x = y = 0
+                while estack:
+                    xy = estack[-1]
+                    x, y = S[xy], T[xy]
+                    if not (w <= x < w + ND[w] or w <= y < w + ND[w]):
+                        break
+                    comp.append(estack.pop())
+                    del_high(xy)
+                    deg[x] -= 1
+                    deg[y] -= 1
+                virtual = new_edge(v, lw)
+                comp.append(virtual)
+                comps.append(comp)
+                if estack and ((x == v and y == lw) or (x == lw and y == v)):
+                    eh = estack.pop()
+                    if x != v or slot[eh] != i:
+                        A[S[eh]][slot[eh]] = -1
+                    bond = new_edge(v, lw)
+                    comps.append([eh, virtual, bond])
+                    in_high[bond] = in_high[eh]
+                    virtual = bond
+                    deg[v] -= 1
+                    deg[lw] -= 1
+                if lw != F[v]:
+                    estack.append(virtual)
+                    arcs[i] = virtual
+                    slot[virtual] = i
+                    if in_high[virtual] is None and high(lw) < v:
+                        in_high[virtual] = entry = [v, True]
+                        H[lw].appendleft(entry)
+                    deg[v] += 1
+                    deg[lw] += 1
+                else:
+                    # the new edge is parallel to the tree arc into v
+                    arcs[i] = -1
+                    eh = tree_arc[v]
+                    arc = new_edge(lw, v)
+                    comps.append([virtual, arc, eh])
+                    tree_arc[v] = arc
+                    tree[arc] = True
+                    slot[arc] = slot[eh]
+                    A[lw][slot[eh]] = arc
+            if starts[e]:
+                while tstack.pop() is not EOS:
+                    pass
+            while tstack[-1] is not EOS and tstack[-1][2] != v and high(v) > tstack[-1][0]:
+                tstack.pop()
+            outv[v] -= 1
+            nxt[v] = i + 1
+    comps.append(estack)
+
+    def skeleton_edge(e: int) -> _MEdge:
+        if e < m:
+            return _MEdge(pairs[e], "real", None)
+        return _MEdge(norm_edge(node[S[e]], node[T[e]]), "virtual", e - m)
+
+    skeletons = []
+    for comp in comps:
+        edges = [skeleton_edge(e) for e in comp]
+        skeletons.append((_component_kind(edges), edges))
+    return skeletons, len(S) - m
 
 
 def _merge_same_kind(
@@ -291,10 +613,21 @@ def _number(record: list[tuple[str, list[_MEdge]]], links: int) -> SpqrTree:
 
 
 def reconstruct(t: SpqrTree) -> Graph:
-    """Merge the tree back into the simple graph it represents."""
+    """Merge the tree back into the simple graph it represents.
+
+    Tree edges are taken in order, each joining the node sets of its two
+    ends; the skeleton edges carrying its id are dropped from both sets,
+    except from the set of an end that is a Q node not merged before.  What
+    is left must be the real edges, each once."""
     kinds = {n.id: n.kind for n in t.nodes}
     membership = {n.id: n.id for n in t.nodes}
-    skels: dict[int, list[SkeletonEdge]] = {n.id: list(n.edges) for n in t.nodes}
+    skels = {n.id: n.edges for n in t.nodes}
+    carriers: dict[int, list[tuple[int, int]]] = {}  # link to (node, edge index)
+    for nid, skel in skels.items():
+        for k, e in enumerate(skel):
+            if e.link is not None:
+                carriers.setdefault(e.link, []).append((nid, k))
+    dropped: set[tuple[int, int]] = set()
 
     def find(x: int) -> int:
         while membership[x] != x:
@@ -308,16 +641,19 @@ def reconstruct(t: SpqrTree) -> Graph:
             raise StructuralError("tree edge joins an already merged component")
         keep_a = kinds[te.x] == "Q"
         keep_b = kinds[te.y] == "Q"
-        ea = [e for e in skels[a] if not (e.link == te.id and not keep_a)]
-        eb = [e for e in skels[b] if not (e.link == te.id and not keep_b)]
-        skels[a] = ea + eb
+        for nid, k in carriers.get(te.id, ()):
+            c = find(nid)
+            if (c == a and not keep_a) or (c == b and not keep_b):
+                dropped.add((nid, k))
         membership[b] = a
         kinds[te.x] = kinds[te.y] = "merged"
 
     roots = {find(n.id) for n in t.nodes}
     if len(roots) != 1:
         raise StructuralError("tree edges do not connect all nodes")
-    edges = skels[roots.pop()]
+    edges = [
+        e for nid, skel in skels.items() for k, e in enumerate(skel) if (nid, k) not in dropped
+    ]
     if any(e.kind == "virtual" for e in edges):
         raise StructuralError("virtual edges survive reconstruction")
     pairs = [e.pair() for e in edges]

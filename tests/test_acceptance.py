@@ -9,11 +9,14 @@ criteria that quantify over it.  Expect a few minutes of runtime; run with
 
 import random
 import time
+from itertools import combinations
 
+import networkx as nx
 import pytest
 
 from outerfan import oracle
-from outerfan.graph import complete_graph, complete_two_hop_graph
+from outerfan.circular import check_outer_fan_planar, distinct_drawings
+from outerfan.graph import build_graph, complete_graph, complete_two_hop_graph
 from outerfan.recognizer import is_complete_2hop, recognize
 from outerfan.reduction import (
     ThreePartitionInstance,
@@ -265,3 +268,72 @@ def test_criterion_10_validator_soundness():
         f"with a violation naming the tampered edge; {misses} misses",
     )
     assert ok
+
+
+# ---------------------------------------------------------------------------
+# The accept side past n = 6: maximal graphs drawn by the oracle alone
+# ---------------------------------------------------------------------------
+
+
+def oracle_completion(n, rng):
+    """A maximal outer-fan-planar graph on n vertices, and an order drawing
+    it: the vertex pairs in random order, each added while the graph keeps
+    an outer-fan-planar order.  Adding edges only removes orders, so a pair
+    refused once stays refused and one pass ends at a maximal graph.  The
+    last order found is tried first; the oracle decides the rest."""
+    pairs = list(combinations(range(n), 2))
+    rng.shuffle(pairs)
+    edges, order = [], tuple(range(n))
+    for p in pairs:
+        g = build_graph(n, edges + [p])
+        if not check_outer_fan_planar(g, order).verdict:
+            found = oracle.outer_fan_planar_order(g)
+            if found is None:
+                continue
+            order = found
+        edges.append(p)
+    return build_graph(n, edges), order
+
+
+def recognize_against_scan(g):
+    """recognize(g), checked to have the oracle scan's verdict and, if it
+    accepts, the scan's drawings."""
+    out = recognize(g)
+    scan = oracle.scan(g)
+    assert out.accepted == scan.maximal, g.edge_list()
+    if out.accepted:
+        assert tuple(out.embeddings) == distinct_drawings(g, scan.orders), g.edge_list()
+    return out
+
+
+def test_oracle_completions_and_their_deletions():
+    """Random maximal graphs at n = 9 and 10, from the oracle alone: the
+    recognizer accepts each with the scan's drawings, and rejects each
+    one-edge deletion, which is not maximal because the completion's order
+    draws it with the edge put back."""
+    paths = {}
+    checked = 0
+    for n, count in ((9, 200), (10, 30)):
+        rng = random.Random(n)
+        for _ in range(count):
+            g, order = oracle_completion(n, rng)
+            out = recognize_against_scan(g)
+            assert out.accepted, g.edge_list()
+            paths[out.path] = paths.get(out.path, 0) + 1
+            for e in g.edge_list():
+                h = build_graph(n, [f for f in g.edge_list() if f != e])
+                assert not recognize(h).accepted, (g.edge_list(), e)
+                checked += 1
+    REPORT_LINES.append(f"[completions] 230 maximal graphs by path {paths}, {checked} deletions rejected")
+    assert paths.get("spqr", 0) >= 50 and paths.get("peel", 0) >= 50, paths
+
+
+def test_every_seven_vertex_class():
+    """Every biconnected graph on seven vertices up to isomorphism."""
+    graphs = [
+        build_graph(7, h.edges())
+        for h in nx.graph_atlas_g()
+        if h.number_of_nodes() == 7 and nx.is_biconnected(h)
+    ]
+    assert len(graphs) == 468  # OEIS A002218
+    assert sum(recognize_against_scan(g).accepted for g in graphs) == 8

@@ -458,9 +458,11 @@ def reference_grown_graph(n, rng):
 
 def test_recognize_builds_one_tree_and_tests_no_triconnectivity(monkeypatch):
     """Every biconnected input costs one SPQR build and no separate
-    3-connectivity test; 3-connected inputs leave no SPQR trace line."""
+    3-connectivity test, except a 3-tree, which costs one peel and no build;
+    3-connected inputs leave no SPQR trace line."""
     real_build, real_tri = spqr.build_spqr, graph.is_triconnected
-    calls = {"build_spqr": 0, "is_triconnected": 0}
+    real_peel = graph.peel_degree3_k4
+    calls = {"build_spqr": 0, "is_triconnected": 0, "peel": 0}
 
     def counting_build(g):
         calls["build_spqr"] += 1
@@ -470,7 +472,12 @@ def test_recognize_builds_one_tree_and_tests_no_triconnectivity(monkeypatch):
         calls["is_triconnected"] += 1
         return real_tri(g)
 
+    def counting_peel(adj):
+        calls["peel"] += 1
+        return real_peel(adj)
+
     monkeypatch.setattr(spqr, "build_spqr", counting_build)
+    monkeypatch.setattr(recognizer, "peel_degree3_k4", counting_peel)
     for module in (graph, spqr, recognizer):
         monkeypatch.setattr(module, "is_triconnected", counting_tri)
 
@@ -479,20 +486,26 @@ def test_recognize_builds_one_tree_and_tests_no_triconnectivity(monkeypatch):
     inputs += [cycle_graph(3), cycle_graph(6), remark6_graph()]
     inputs += [grown_graph(n, rng) for n in (6, 7, 9, 12, 16)]
     inputs += [sample_biconnected(n, rng) for n in (5, 6, 7, 8) for _ in range(10)]
-    seen_accepted_3connected = 0
+    seen_accepted_3connected = three_trees = 0
     for g in inputs:
-        calls.update(build_spqr=0, is_triconnected=0)
+        calls.update(build_spqr=0, is_triconnected=0, peel=0)
         out = recognize(g)
-        assert calls == {"build_spqr": 1, "is_triconnected": 0}, g.edge_list()
+        three_tree = g.n >= 4 and g.m == 3 * g.n - 6 and len(real_peel(dict(enumerate(g.adj)))[1]) == 3
+        three_trees += three_tree
+        assert calls["build_spqr"] == (0 if three_tree else 1), g.edge_list()
+        assert calls["is_triconnected"] == 0, g.edge_list()
+        if three_tree:
+            assert calls["peel"] == 1, g.edge_list()
         if out.accepted and real_tri(g):
             seen_accepted_3connected += 1
             assert out.path in {"base", "two_hop", "peel"}
             assert not any(line.startswith("spqr tree") for line in out.trace)
     assert seen_accepted_3connected >= 8
+    assert three_trees >= 6
 
-    calls.update(build_spqr=0, is_triconnected=0)
+    calls.update(build_spqr=0, is_triconnected=0, peel=0)
     recognize(path_graph(5))
-    assert calls == {"build_spqr": 0, "is_triconnected": 0}
+    assert calls == {"build_spqr": 0, "is_triconnected": 0, "peel": 0}
 
 
 def test_sweep_checks_the_tree_recognition_used(monkeypatch):

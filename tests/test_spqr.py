@@ -5,6 +5,8 @@ import sys
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from outerfan import spqr
 from outerfan.errors import StructuralError
@@ -150,10 +152,10 @@ def test_chords_graphs_at_hundreds_of_vertices():
 
 
 def test_split_parts_gain_no_separating_pair():
-    """The lemma behind the resumed pair search of a split: every pair that
-    separates a split part (a component of G - p plus p and the edge p)
-    also separates G, and p separates no part.  So when p is the first
-    separating pair of G, no pair up to p separates any part."""
+    """Every pair that separates a split part (a component of G - p plus p
+    and the edge p) also separates G, and p separates no part: a split
+    makes no new separating pair, which is why splitting at every pair
+    found ends in 3-connected, cycle and bond components."""
     rng = random.Random(707)
     checked = 0
     for _ in range(150):
@@ -169,19 +171,10 @@ def test_split_parts_gain_no_separating_pair():
     assert checked > 100
 
 
-def test_resumed_pair_search_builds_the_same_tree(monkeypatch):
-    rng = random.Random(808)
-    graphs = [random_biconnected(rng) for _ in range(80)]
-    graphs += [cycle_plus_chords(n, rng) for n in (12, 20, 30)]
-    resumed = [tree_to_json(build_spqr(g)) for g in graphs]
-    search = spqr._find_split_pair
-    monkeypatch.setattr(spqr, "_find_split_pair", lambda adj, m, after: search(adj, m, (-1, -1)))
-    assert [tree_to_json(build_spqr(g)) for g in graphs] == resumed
-
-
 # ---------------------------------------------------------------------------
-# Reference builder: the recursive split and the restart-loop merge that
-# build_spqr's worklist split and union-find merge replaced
+# Reference builder: a recursive split at the least separating pair found by
+# deleting pairs, and a restart-loop merge; build_spqr's linear-time split
+# and union-find merge must give the same tree
 # ---------------------------------------------------------------------------
 
 
@@ -203,7 +196,7 @@ class ReferenceDecomposition:
         if len(adj) == 2:
             self.skeletons.append(("P", edges))
             return
-        if spqr._is_cycle(edges, adj):
+        if is_cycle(edges, adj):
             self.skeletons.append(("S", edges))
             return
         pairs = [e.pair for e in edges]
@@ -229,6 +222,15 @@ class ReferenceDecomposition:
             central.append(_MEdge(pair, "virtual", link))
             self.split(cls + [_MEdge(pair, "virtual", link)], pair)
         self.skeletons.append(("P", central))
+
+
+def is_cycle(edges, adj):
+    # components are simple: as many edges as vertices, all of degree 2
+    return (
+        len(edges) == len(adj) >= 3
+        and all(len(nbrs) == 2 for nbrs in adj.values())
+        and len(components(adj)) == 1
+    )
 
 
 def scan_split_pair(adj, after):
@@ -287,10 +289,36 @@ def two_sum(g1, g2, rng):
     return build_graph(len(perm), [(perm[u], perm[v]) for u, v in edges])
 
 
+def bundle(pieces, keep, rng):
+    """The pieces glued on one edge each, all on the same pair, which is
+    kept or dropped, with the labels shuffled: a parallel node with a
+    virtual edge per piece."""
+    n, edges = 2, set()
+    for piece in pieces:
+        c, d = rng.choice(piece.edge_list())
+        rest = iter(range(n, n + piece.n - 2))
+        glue = {x: {c: 0, d: 1}[x] if x in (c, d) else next(rest) for x in range(piece.n)}
+        edges |= {norm_edge(glue[u], glue[v]) for u, v in piece.edges}
+        n += piece.n - 2
+    if not keep:
+        edges.discard((0, 1))
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return build_graph(n, [(perm[u], perm[v]) for u, v in edges])
+
+
+def piece(rng):
+    """A cycle, a K4 or a grown graph: the skeleton of an S or an R node."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        return cycle_graph(rng.randint(3, 6))
+    return complete_graph(4) if kind == 1 else grown_graph(rng.randint(5, 9), rng)
+
+
 def test_builder_matches_the_recursive_reference():
     rng = random.Random(1007)
     sparse = [sparse_biconnected(n, rng) for n in range(4, 17) for _ in range(40)]
-    chords = [cycle_plus_chords(n, rng) for n in range(6, 41, 2) for _ in range(3)]
+    chords = [cycle_plus_chords(n, rng) for n in range(6, 61, 2) for _ in range(3)]
     # 3-trees, whose trees are one rigid node, and 2-sums of two 3-trees,
     # whose rigid skeletons are 3-trees closed by the virtual edge
     grown = [grown_graph(n, rng) for n in (4, 5, 6, 9, 16, 24, 32, 48, 64)]
@@ -298,8 +326,22 @@ def test_builder_matches_the_recursive_reference():
         two_sum(grown_graph(rng.randint(4, 16), rng), grown_graph(rng.randint(4, 16), rng), rng)
         for _ in range(30)
     ]
+    ladders = [ladder(k) for k in range(2, 41)]
+    # chains of 2-sums, in which S, P and R nodes alternate
+    chains = []
+    for _ in range(60):
+        g = piece(rng)
+        for _ in range(rng.randint(2, 5)):
+            g = two_sum(g, piece(rng), rng)
+        chains.append(g)
+    bundled = [
+        bundle([piece(rng) for _ in range(rng.randint(3, 5))], keep, rng)
+        for keep in (True, False)
+        for _ in range(20)
+    ]
     bundles = three_tree_skeletons = 0
-    for g in sparse + chords + grown + sums:
+    wide = {True: 0, False: 0}  # P nodes with three virtual edges, by real edge
+    for g in sparse + chords + grown + sums + ladders + chains + bundled:
         t = build_spqr(g)
         assert tree_to_json(t) == tree_to_json(reference_tree(g))
         bundles += any(
@@ -308,9 +350,37 @@ def test_builder_matches_the_recursive_reference():
         three_tree_skeletons += sum(
             n.kind == "R" and len(n.edges) == 3 * len(n.vertices) - 6 for n in t.nodes
         )
+        for n in t.nodes:
+            if n.kind == "P" and sum(e.kind == "virtual" for e in n.edges) >= 3:
+                wide[any(e.kind == "real" for e in n.edges)] += 1
     # the order of a parallel node's virtual edges follows the tree edge ids
     assert bundles > 100
     assert three_tree_skeletons >= len(grown) + 2 * len(sums)
+    assert min(wide.values()) >= 20
+
+
+@st.composite
+def biconnected_graphs(draw, max_n=12):
+    """Any biconnected graph on 3..max_n vertices: a cycle, then ears (paths
+    through new vertices between two old ones), then chords, relabeled."""
+    n = draw(st.integers(3, max_n))
+    k = draw(st.integers(3, n))
+    edges = [(i, (i + 1) % k) for i in range(k)]
+    while k < n:
+        inner = draw(st.integers(1, n - k))
+        a, b = draw(st.sampled_from(list(combinations(range(k), 2))))
+        path = [a, *range(k, k + inner), b]
+        edges += zip(path, path[1:])
+        k += inner
+    edges += draw(st.lists(st.sampled_from(list(combinations(range(n), 2))), max_size=2 * n))
+    perm = draw(st.permutations(range(n)))
+    return build_graph(n, [(perm[u], perm[v]) for u, v in edges])
+
+
+@settings(max_examples=300, deadline=None)
+@given(biconnected_graphs())
+def test_builder_matches_the_reference_on_any_small_graph(g):
+    assert tree_to_json(build_spqr(g)) == tree_to_json(reference_tree(g))
 
 
 def ladder(k):
@@ -320,10 +390,10 @@ def ladder(k):
 
 
 def test_deep_tree_needs_no_deep_recursion():
-    # the 2 x 1000 ladder's tree is a path of about 3000 nodes; a recursive
+    # the 2 x 5000 ladder's tree is a path of about 15000 nodes; a recursive
     # split went one frame deeper per square
     assert sys.getrecursionlimit() < 5000
-    g = ladder(1000)
+    g = ladder(5000)
     t = build_spqr(g)
     assert verify_tree(t, g) == []
     assert reconstruct(t) == g
@@ -409,3 +479,84 @@ def test_separation_check_matches_the_per_edge_walk():
             assert issues[len(issues) - len(expected) :] == expected
             flagged += bool(expected)
     assert flagged > 200
+
+
+# ---------------------------------------------------------------------------
+# Reference reconstruction: the pairwise list merge that reconstruct's one
+# pass over the links replaced
+# ---------------------------------------------------------------------------
+
+
+def reference_reconstruct(t):
+    kinds = {n.id: n.kind for n in t.nodes}
+    membership = {n.id: n.id for n in t.nodes}
+    skels = {n.id: list(n.edges) for n in t.nodes}
+
+    def find(x):
+        while membership[x] != x:
+            x = membership[x]
+        return x
+
+    for te in t.tree_edges:
+        a, b = find(te.x), find(te.y)
+        if a == b:
+            raise StructuralError("tree edge joins an already merged component")
+        keep_a, keep_b = kinds[te.x] == "Q", kinds[te.y] == "Q"
+        ea = [e for e in skels[a] if not (e.link == te.id and not keep_a)]
+        eb = [e for e in skels[b] if not (e.link == te.id and not keep_b)]
+        skels[a] = ea + eb
+        membership[b] = a
+        kinds[te.x] = kinds[te.y] = "merged"
+    roots = {find(n.id) for n in t.nodes}
+    if len(roots) != 1:
+        raise StructuralError("tree edges do not connect all nodes")
+    edges = skels[roots.pop()]
+    if any(e.kind == "virtual" for e in edges):
+        raise StructuralError("virtual edges survive reconstruction")
+    pairs = [e.pair() for e in edges]
+    if len(pairs) != len(set(pairs)):
+        raise StructuralError("reconstruction produced parallel edges")
+    return build_graph(max((max(p) for p in pairs), default=-1) + 1, pairs)
+
+
+def relinked(t, rng):
+    """t with one skeleton edge's link changed to another tree edge's id or
+    to an id no tree edge has."""
+    node = rng.choice([n for n in t.nodes if any(e.link is not None for e in n.edges)])
+    k = rng.choice([k for k, e in enumerate(node.edges) if e.link is not None])
+    edges = list(node.edges)
+    edges[k] = dataclasses.replace(edges[k], link=rng.randrange(len(t.tree_edges) + 1))
+    nodes = list(t.nodes)
+    nodes[node.id] = dataclasses.replace(node, edges=tuple(edges))
+    return SpqrTree(tuple(nodes), t.tree_edges)
+
+
+def test_reconstruct_matches_the_list_merge():
+    """reconstruct gives the list merge's graph, or raises its error, on
+    built trees and on structures with a tree edge dropped, a tree edge
+    repeated, or a skeleton edge relinked."""
+
+    def result(rebuild, tree):
+        try:
+            return rebuild(tree)
+        except StructuralError as exc:
+            return str(exc)
+
+    rng = random.Random(1013)
+    graphs = [sparse_biconnected(n, rng) for n in range(4, 13) for _ in range(10)]
+    graphs += [cycle_plus_chords(n, rng) for n in range(6, 31, 4)]
+    graphs += [bundle([piece(rng) for _ in range(3)], keep, rng) for keep in (True, False)]
+    graphs.append(ladder(12))
+    seen = set()
+    for g in graphs:
+        t = build_spqr(g)
+        trees = [t]
+        if t.tree_edges:
+            trees.append(SpqrTree(t.nodes, t.tree_edges[1:]))
+            trees.append(SpqrTree(t.nodes, t.tree_edges + t.tree_edges[-1:]))
+            trees += [relinked(t, rng) for _ in range(3)]
+        for tree in trees:
+            got = result(reconstruct, tree)
+            assert got == result(reference_reconstruct, tree)
+            seen.add(got if isinstance(got, str) else "graph")
+    assert len(seen) == 5, seen
