@@ -58,8 +58,8 @@ def main() -> int:
     for n in CHORDS:
         g = build_graph(*gen.chords_graph(n, rng))
         print(f"build_spqr chords n={n}: {median_seconds(build_spqr, g):.4f} s", flush=True)
-    g = complete_two_hop_graph(1024)
-    print(f"recognize complete_two_hop_graph(1024): {median_seconds(recognize, g):.4f} s", flush=True)
+    seconds = median_seconds(recognize, complete_two_hop_graph(1024))
+    print(f"recognize complete_two_hop_graph(1024): {seconds:.4f} s", flush=True)
     g = ladder(LADDERS[-1])
     t = build_spqr(g)
     t0 = time.perf_counter()

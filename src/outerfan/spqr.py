@@ -109,85 +109,71 @@ def _vertices(edges: list[_MEdge]) -> set[int]:
     return vs
 
 
-def _component_kind(edges: list[_MEdge]) -> str:
-    """A split component is a bond (one pair), a cycle (as many edges as
-    vertices) or 3-connected."""
-    if len({e.pair for e in edges}) == 1:
-        return "P"
-    return "S" if len(edges) == len(_vertices(edges)) else "R"
-
-
 class _PalmTree(NamedTuple):
     """A palm tree of a biconnected graph on Hopcroft and Tarjan's new
     numbers 1..n, 1 being the root, as the path search takes it.  Arc ids
-    0..m-1 are the edges of ``g.edge_list()``; a tree arc points from a
-    father to its child, a frond from a vertex to an ancestor.  Lists
-    indexed by vertex have an unused entry 0."""
+    0..m-1 are the edges of g in the order the first search met them; a
+    tree arc points from a father to its child, a frond from a vertex to an
+    ancestor.  Lists indexed by vertex have an unused entry 0."""
 
     node: list[int]  # new number to vertex of g
     low1: list[int]
     low2: list[int]
     nd: list[int]  # descendants, the vertex included
     father: list[int]  # 0 at the root
+    degree: list[int]
     arcs: list[list[int]]  # a vertex's out-arcs by phi
+    slot: list[int]  # an arc's index in its tail's arcs
     src: list[int]
     dst: list[int]
     tree: list[bool]
+    tree_arc: list[int]  # the arc into a vertex from its father
     starts: list[bool]  # the arcs that start a path
     highs: list[deque[list]]  # the fronds entering a vertex in the order found
     in_high: list[list | None]  # a frond's [source, alive] entry there
 
 
-def _palm_tree(g: Graph, pairs: list[Edge]) -> _PalmTree:
+def _palm_tree(g: Graph) -> _PalmTree:
     """Hopcroft and Tarjan's first two passes over g, each with an explicit
     stack: a palm tree from vertex 0 with lowpt1, lowpt2 and nd of every
-    vertex; then the arcs bucket-sorted by phi, and a second search in that
-    order that renumbers the vertices (a vertex before its descendants, a
-    later child's subtree before an earlier one's), marks the arcs that
-    start a path and lists the fronds entering each vertex."""
-    n, m = g.n, len(pairs)
-    inc: list[list[int]] = [[] for _ in range(n)]
-    for e, (u, v) in enumerate(pairs):
-        inc[u].append(e)
-        inc[v].append(e)
+    vertex, numbering the arcs as it meets them; then the arcs bucket-sorted
+    by phi, and a second search in that order that renumbers the vertices
+    (a vertex before its descendants, a later child's subtree before an
+    earlier one's), marks the arcs that start a path and lists the fronds
+    entering each vertex."""
+    n = g.n
     num = [0] * n
     low1 = [0] * n
     low2 = [0] * n
     nd = [1] * n
     father = [-1] * n
-    src = [0] * m
-    dst = [0] * m
-    tree = [False] * m
-    seen = [False] * m
+    src: list[int] = []
+    dst: list[int] = []
+    tree: list[bool] = []
     num[0] = low1[0] = low2[0] = count = 1
-    nxt = [0] * n
+    rest = [iter(nbrs) for nbrs in g.adj]  # the neighbors a vertex has not met
     stack = [0]
     while stack:
         v = stack[-1]
-        arcs = inc[v]
-        i = nxt[v]
-        while i < len(arcs):
-            e = arcs[i]
-            i += 1
-            if seen[e]:
-                continue
-            seen[e] = True
-            a, b = pairs[e]
-            w = a + b - v
-            src[e], dst[e] = v, w
-            if not num[w]:
-                tree[e] = True
+        for w in rest[v]:
+            x = num[w]
+            if not x:
+                src.append(v)
+                dst.append(w)
+                tree.append(True)
                 father[w] = v
                 count += 1
                 num[w] = low1[w] = low2[w] = count
-                nxt[v] = i
                 stack.append(w)
                 break
-            x = num[w]  # a frond to an ancestor
-            if x < low1[v]:
-                low1[v], low2[v] = x, low1[v]
-            elif low1[v] < x < low2[v]:
-                low2[v] = x
+            if x < num[v] and w != father[v]:  # a frond to an ancestor
+                src.append(v)
+                dst.append(w)
+                tree.append(False)
+                if x < low1[v]:
+                    low1[v], low2[v] = x, low1[v]
+                elif low1[v] < x < low2[v]:
+                    low2[v] = x
         else:
             stack.pop()
             if stack:
@@ -201,6 +187,7 @@ def _palm_tree(g: Graph, pairs: list[Edge]) -> _PalmTree:
                     low2[p] = min(low2[p], low1[v])
                 nd[p] += nd[v]
 
+    m = len(src)
     buckets: list[list[int]] = [[] for _ in range(3 * n + 3)]
     for e in range(m):
         w = dst[e]
@@ -211,23 +198,47 @@ def _palm_tree(g: Graph, pairs: list[Edge]) -> _PalmTree:
         else:
             buckets[3 * low1[w] + 2].append(e)
     out: list[list[int]] = [[] for _ in range(n)]
+    slot = [0] * m
     for bucket in buckets:
         for e in bucket:
-            out[src[e]].append(e)
+            arcs = out[src[e]]
+            slot[e] = len(arcs)
+            arcs.append(e)
 
+    # the second search gives each vertex its new number on entering it,
+    # after its ancestors, so its lowpoints (numbers of ancestors or its
+    # own) are renumbered there too
     new = [0] * n
+    renum = [0] * (n + 1)  # old number to new
+    node = [0] * (n + 1)
+    L1 = [0] * (n + 1)
+    L2 = [0] * (n + 1)
+    ND = [0] * (n + 1)
+    F = [0] * (n + 1)
+    degree = [0] * (n + 1)
+    A: list[list[int]] = [[]] * (n + 1)
+    tree_arc = [0] * (n + 1)
     starts = [False] * m
     highs: list[deque[list]] = [deque() for _ in range(n + 1)]
     in_high: list[list | None] = [None] * m
-    new[0] = 1
     count = n  # the last number of the subtree being entered
     path_starts = True
     nxt = [0] * n
     stack = [0]
+    e = -1
     while stack:
         v = stack[-1]
         arcs = out[v]
         i = nxt[v]
+        if i == 0:  # entering v through the tree arc e
+            x = new[v] = count - nd[v] + 1
+            renum[num[v]] = x
+            node[x] = v
+            L1[x], L2[x], ND[x] = renum[low1[v]], renum[low2[v]], nd[v]
+            F[x] = new[father[v]] if v else 0
+            degree[x] = len(g.adj[v])
+            A[x] = arcs
+            tree_arc[x] = e
         while i < len(arcs):
             e = arcs[i]
             i += 1
@@ -236,7 +247,6 @@ def _palm_tree(g: Graph, pairs: list[Edge]) -> _PalmTree:
                 starts[e] = True
             w = dst[e]
             if tree[e]:
-                new[w] = count - nd[w] + 1
                 nxt[v] = i
                 stack.append(w)
                 break
@@ -246,25 +256,9 @@ def _palm_tree(g: Graph, pairs: list[Edge]) -> _PalmTree:
         else:
             stack.pop()
             count -= 1
-
-    node = [0] * (n + 1)
-    renum = [0] * (n + 1)  # old number to new
-    for v in range(n):
-        node[new[v]] = v
-        renum[num[v]] = new[v]
-    new_low1 = [0] * (n + 1)
-    new_low2 = [0] * (n + 1)
-    new_nd = [0] * (n + 1)
-    new_father = [0] * (n + 1)
-    new_arcs: list[list[int]] = [[] for _ in range(n + 1)]
-    for v in range(n):
-        x = new[v]
-        new_low1[x], new_low2[x], new_nd[x] = renum[low1[v]], renum[low2[v]], nd[v]
-        new_father[x] = new[father[v]] if v else 0
-        new_arcs[x] = out[v]
     return _PalmTree(
-        node, new_low1, new_low2, new_nd, new_father, new_arcs,
-        [new[x] for x in src], [new[x] for x in dst], tree, starts, highs, in_high,
+        node, L1, L2, ND, F, degree, A, slot, [new[x] for x in src], [new[x] for x in dst],
+        tree, tree_arc, starts, highs, in_high,
     )
 
 
@@ -284,19 +278,10 @@ def _split(g: Graph) -> tuple[list[tuple[str, list[_MEdge]]], int]:
     virtual edges.  Skeletons are recorded in any order: the numbering
     pass sorts them.
     """
-    n = g.n
-    pairs = g.edge_list()
-    m = len(pairs)
-    node, L1, L2, ND, F, A, S, T, tree, starts, H, in_high = _palm_tree(g, pairs)
-    deg = [0] + [g.degree(v) for v in node[1:]]
-    tree_arc = [0] * (n + 1)  # the arc into a vertex from its father
-    for e in range(m):
-        if tree[e]:
-            tree_arc[T[e]] = e
-    slot = [0] * m  # an arc's index in A[S[arc]], where -1 marks it deleted
-    for arcs in A:
-        for i, e in enumerate(arcs):
-            slot[e] = i
+    n, m = g.n, g.m
+    palm = _palm_tree(g)
+    node, L1, L2, ND, F, deg, A, slot, S, T, tree, tree_arc, starts, H, in_high = palm
+    # a deleted arc leaves -1 in its slot of A
 
     def high(x: int) -> int:
         """The source of the first frond entering x still there, 0 if none."""
@@ -503,15 +488,20 @@ def _split(g: Graph) -> tuple[list[tuple[str, list[_MEdge]]], int]:
             nxt[v] = i + 1
     comps.append(estack)
 
-    def skeleton_edge(e: int) -> _MEdge:
-        if e < m:
-            return _MEdge(pairs[e], "real", None)
-        return _MEdge(norm_edge(node[S[e]], node[T[e]]), "virtual", e - m)
-
+    # a component is a bond if its edges share one pair, a cycle if it has
+    # as many edges as vertices, and 3-connected otherwise
+    ends = [(node[x], node[y]) if node[x] < node[y] else (node[y], node[x]) for x, y in zip(S, T)]
     skeletons = []
     for comp in comps:
-        edges = [skeleton_edge(e) for e in comp]
-        skeletons.append((_component_kind(edges), edges))
+        if len({ends[e] for e in comp}) == 1:
+            kind = "P"
+        else:
+            kind = "S" if len(comp) == len({S[e] for e in comp} | {T[e] for e in comp}) else "R"
+        edges = [
+            _MEdge(ends[e], "real", None) if e < m else _MEdge(ends[e], "virtual", e - m)
+            for e in comp
+        ]
+        skeletons.append((kind, edges))
     return skeletons, len(S) - m
 
 

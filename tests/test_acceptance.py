@@ -324,7 +324,9 @@ def test_oracle_completions_and_their_deletions():
                 h = build_graph(n, [f for f in g.edge_list() if f != e])
                 assert not recognize(h).accepted, (g.edge_list(), e)
                 checked += 1
-    REPORT_LINES.append(f"[completions] 230 maximal graphs by path {paths}, {checked} deletions rejected")
+    REPORT_LINES.append(
+        f"[completions] 230 maximal graphs by path {paths}, {checked} deletions rejected"
+    )
     assert paths.get("spqr", 0) >= 50 and paths.get("peel", 0) >= 50, paths
 
 

@@ -188,8 +188,8 @@ def deletion_scan(adj):
 @st.composite
 def sparse_adjacencies(draw, min_n=3, max_n=9):
     """Vertex-to-neighbor-tuple mappings over sparse ids inserted in no
-    particular order; any edge set, so
-    G - u is often disconnected and G itself sometimes is."""
+    particular order; any edge set, so G - u is often disconnected and G
+    itself sometimes is."""
     ids = draw(st.lists(st.integers(0, 99), min_size=min_n, max_size=max_n, unique=True))
     pairs = list(combinations(ids, 2))
     picked = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs)))

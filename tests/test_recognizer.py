@@ -490,7 +490,9 @@ def test_recognize_builds_one_tree_and_tests_no_triconnectivity(monkeypatch):
     for g in inputs:
         calls.update(build_spqr=0, is_triconnected=0, peel=0)
         out = recognize(g)
-        three_tree = g.n >= 4 and g.m == 3 * g.n - 6 and len(real_peel(dict(enumerate(g.adj)))[1]) == 3
+        three_tree = (
+            g.n >= 4 and g.m == 3 * g.n - 6 and len(real_peel(dict(enumerate(g.adj)))[1]) == 3
+        )
         three_trees += three_tree
         assert calls["build_spqr"] == (0 if three_tree else 1), g.edge_list()
         assert calls["is_triconnected"] == 0, g.edge_list()
