@@ -15,7 +15,7 @@ decomposition into series (cycle), parallel (edge bundle) and rigid
 (3-connected) nodes.  The numbering pass orders nodes and tree edges
 canonically and builds each node once, so the tree does not depend on the
 order in which the split met its components.  A 2 x 5000 ladder builds in
-about a second.
+under a second on a 2-core virtual machine.
 
 :func:`verify_tree` checks a tree against its graph without the split: its
 rigid skeletons go to :func:`outerfan.graph.is_triconnected`, whose
