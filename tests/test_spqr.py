@@ -294,12 +294,12 @@ def bundle(pieces, keep, rng):
     kept or dropped, with the labels shuffled: a parallel node with a
     virtual edge per piece."""
     n, edges = 2, set()
-    for piece in pieces:
-        c, d = rng.choice(piece.edge_list())
-        rest = iter(range(n, n + piece.n - 2))
-        glue = {x: {c: 0, d: 1}[x] if x in (c, d) else next(rest) for x in range(piece.n)}
-        edges |= {norm_edge(glue[u], glue[v]) for u, v in piece.edges}
-        n += piece.n - 2
+    for part in pieces:
+        c, d = rng.choice(part.edge_list())
+        rest = iter(range(n, n + part.n - 2))
+        glue = {x: {c: 0, d: 1}[x] if x in (c, d) else next(rest) for x in range(part.n)}
+        edges |= {norm_edge(glue[u], glue[v]) for u, v in part.edges}
+        n += part.n - 2
     if not keep:
         edges.discard((0, 1))
     perm = list(range(n))
