@@ -8,7 +8,10 @@ sharing a common endpoint.  In convex position an edge's crossers can never
 straddle both sides of it, so the common-endpoint test is the whole check.
 :func:`check_outer_fan_planar` lists every crossing and is the readable
 reference; :func:`fan_planar_edges` gives the same verdict for chosen edges
-by walking each chord's shorter arc, and serves the recognizer.
+by walking each chord's shorter arc.  The recognizer uses it for its base
+case, porosity, the final check of its reinsertion orders and assembled
+drawings; the reinsertion slots and the grown-graph generator keep crossing
+apexes instead and walk no arcs.
 """
 
 from __future__ import annotations

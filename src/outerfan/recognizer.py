@@ -17,36 +17,39 @@ that peel and no tree.  A 3-connected graph is recognized as follows:
   least degree-3 vertex of a 4-clique (the elimination
   :func:`~outerfan.graph.peel_degree3_k4`), then rebuilt by reinserting the
   vertices between their neighbors while preserving fan-planarity,
-  branching over the (at most two) feasible slots.  Each slot is checked
-  incrementally: inserting a vertex leaves every old crossing as it was, so
-  only the new edges and the old edges they cross are re-examined.
+  branching over the (at most two) feasible slots.  A slot puts the vertex
+  next to the middle of its three neighbors, so it adds one chord that
+  spans one vertex.  Each live order carries its crossing apexes (for each
+  crossed edge, the endpoints all its crossers share), and a slot is
+  decided from the apexes of the middle vertex's edges alone, in time
+  linear in that vertex's degree.
 
 A single series node is a chordless cycle, maximal only as a triangle.  Any
 other tree is accepted iff its rigid skeletons pass the 3-connected paths
 with their virtual edges on the outer face and the tree satisfies a small
 set of local conditions, including a porosity test at every parallel node.
 
-One kernel, :func:`~outerfan.circular.fan_planar_edges`, makes every fan
-check: the slot checks, the final check of a reinsertion's orders, the base
-case, porosity and the check of assembled SPQR drawings.  It reads each
-edge's crossers from the shorter arc of its chord, given the order's
-positions, which each order computes once.  The recognizer does not use the
-exhaustive oracle or the reference checker, so the test suite's
-recognizer-vs-oracle sweep compares two independent procedures; embeddings
-are reported one canonical order per distinct drawing.
+The other fan checks walk chord arcs with one kernel,
+:func:`~outerfan.circular.fan_planar_edges`: the final check of a
+reinsertion's orders, which validates every order independently of the
+apexes, the base case, porosity and the check of assembled SPQR drawings.
+It reads each edge's crossers from the shorter arc of its chord, given the
+order's positions.  The recognizer does not use the exhaustive oracle or
+the reference checker, so the test suite's recognizer-vs-oracle sweep
+compares two independent procedures; embeddings are reported one
+canonical order per distinct drawing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import combinations, permutations
+from itertools import permutations
 
 from . import spqr
 from .circular import (
     CircularOrder,
     canonicalize,
-    consecutive_run,
     distinct_drawings,
     drawing_key,
     fan_planar_edges,
@@ -256,6 +259,92 @@ def _slot_is_fan_planar(adj, order: CircularOrder, pos, v: int) -> bool:
     ) and fan_planar_edges(adj, order, pos, crossed)
 
 
+# for each crossed edge of a fan-planar drawing, the endpoints that all of its
+# crossers share: both ends of a lone crosser, else one common endpoint
+Apexes = dict[Edge, frozenset[int]]
+
+
+def _insert_apexes(adj, apex: Apexes, v: int, m: int, z: int) -> Apexes | None:
+    """The entries of ``apex`` that change when v is put on the circle next
+    to m, or None if the drawing stops being fan-planar.
+
+    ``apex`` belongs to a fan-planar drawing without v, in which z is a
+    circle neighbor of m.  v goes between m and its other circle neighbor,
+    which with m and z is all of v's neighbors.  Two of v's edges then join
+    circle neighbors and v-z spans m alone, so v-z is crossed by m's edges
+    m-y (y not v or z), which share m.  Inserting a vertex changes no
+    crossing among old edges, so those m-y are the only edges that gain a
+    crosser, and the drawing stays fan-planar iff each keeps a common
+    endpoint with v-z.  ``adj`` maps m to its neighbors, with or without v.
+    """
+    vz = frozenset((v, z))
+    entries: Apexes = {}
+    last = m
+    for y in adj[m]:
+        if y == v or y == z:
+            continue
+        f = (m, y) if m < y else (y, m)
+        common = apex.get(f, vz) & vz
+        if not common:
+            return None
+        entries[f] = common
+        last = y
+    if entries:
+        entries[norm_edge(v, z)] = frozenset((m, last) if len(entries) == 1 else (m,))
+    return entries
+
+
+def _run_start(order: CircularOrder, vs) -> int | None:
+    """Position of the first of three cyclically consecutive positions of
+    ``order`` that hold the three vertices ``vs``, else None."""
+    s = len(order)
+    a, b, c = sorted(order.index(u) for u in vs)
+    if c - a == 2:
+        return a
+    if a == 0 and c == s - 1:
+        if b == 1:
+            return c
+        if b == s - 2:
+            return b
+    return None
+
+
+def _reinsert_vertex(
+    live: dict[CircularOrder, Apexes], adj, marks: set[Edge], v: int, nbrs
+) -> dict[CircularOrder, Apexes]:
+    """Every fan-planar way to put ``v`` back into the ``live`` orders, each
+    canonical order with its apexes.
+
+    ``adj`` already holds v and ``marks`` the marked edges of this step.
+    The peel removed v from a 4-clique, so its three neighbors x, m, z form
+    a run on the circle of every order that can take it back, and v goes
+    next to m on either side; on the triangle it may also go between z and
+    x, where x plays m.  Every marked edge was outer before the step, so a
+    slot breaks a mark iff it splits a marked circle pair or v-z is marked.
+    """
+    new_live: dict[CircularOrder, Apexes] = {}
+    for order, apex in live.items():
+        s = len(order)
+        r = _run_start(order, nbrs)
+        if r is None:
+            continue
+        x, m, z = order[r], order[(r + 1) % s], order[(r + 2) % s]
+        # the position v takes, the vertex it spans, its far neighbor, the
+        # circle pair it splits
+        slots = [(r + 1, m, z, (x, m)), (r + 2, m, x, (m, z))]
+        if s == 3:
+            slots.append((r + 3, x, m, (z, x)))
+        for k, mid, far, (a, b) in slots:
+            if norm_edge(a, b) in marks or norm_edge(v, far) in marks:
+                continue
+            entries = _insert_apexes(adj, apex, v, mid, far)
+            if entries is None:
+                continue
+            k %= s
+            new_live[canonicalize(order[:k] + (v,) + order[k:])] = {**apex, **entries}
+    return new_live
+
+
 def _peel_and_reinsert(
     g: Graph, outer_required: frozenset[Edge], raw: _RawResult, peel: Peel | None
 ) -> None:
@@ -268,17 +357,22 @@ def _peel_and_reinsert(
     :func:`~outerfan.graph.peel_degree3_k4` if the caller has it.
     """
     steps, adj = peel if peel is not None else peel_degree3_k4(dict(enumerate(g.adj)))
-    marks: dict[Edge, int | None] = {e: None for e in outer_required}
-    marked_triangles: list[frozenset[int]] = []
+    marks = set(outer_required)
+    # the marked edges and the marked triangles at each vertex, in marking order
+    marks_at: list[list[Edge]] = [[] for _ in range(g.n)]
+    for e in marks:
+        marks_at[e[0]].append(e)
+        marks_at[e[1]].append(e)
+    tris_at: list[list[frozenset[int]]] = [[] for _ in range(g.n)]
     stack: list[PeelRecord] = []
     present = set(range(g.n))
     # the peel order does not depend on the marks, so they are replayed on it
     for v, nbrs in steps:
         # stale marks (a member already peeled) were converted to edge marks
         # at that member's removal and must not count twice
-        tris_with_v = [t for t in marked_triangles if v in t and t <= present]
+        tris_with_v = [t for t in tris_at[v] if t <= present]
         marked_edges_at_v = [
-            e for e in marks if v in e and e[0] in present and e[1] in present
+            e for e in marks_at[v] if e[0] in present and e[1] in present
         ]
         if len(tris_with_v) >= 3 or len(marked_edges_at_v) >= 3:
             raw.accepted = False
@@ -291,12 +385,16 @@ def _peel_and_reinsert(
         newly_marked = []
         for t in tris_with_v:
             x, y = sorted(t - {v})
-            e = norm_edge(x, y)
+            e = (x, y)
             if e not in marks:
-                marks[e] = v
+                marks.add(e)
+                marks_at[x].append(e)
+                marks_at[y].append(e)
                 newly_marked.append(e)
         present.discard(v)
-        marked_triangles.append(frozenset(nbrs))
+        tri = frozenset(nbrs)
+        for u in nbrs:
+            tris_at[u].append(tri)
         stack.append(PeelRecord(v, nbrs, tuple(newly_marked)))
         raw.trace.append(f"peel {v} neighbors {nbrs} marked {newly_marked}")
 
@@ -307,34 +405,17 @@ def _peel_and_reinsert(
         raw.trace.append(raw.reason)
         return
 
-    live: list[CircularOrder] = [tuple(sorted(adj))]
+    # the triangle crosses nothing
+    live: dict[CircularOrder, Apexes] = {tuple(sorted(adj)): {}}
     raw.max_live = 1
     while stack:
         rec = stack.pop()
         v = rec.vertex
-        for e in rec.edges_marked:
-            del marks[e]
+        marks.difference_update(rec.edges_marked)
         adj[v] = set(rec.neighbors)
         for w in rec.neighbors:
             adj[w].add(v)
-        active_marks = [e for e in marks if e[0] in adj and e[1] in adj]
-        new_live: set[CircularOrder] = set()
-        for order in live:
-            s = len(order)
-            r = consecutive_run(positions(order), set(rec.neighbors))
-            if r is None:
-                continue
-            # the slots after the run's first and middle vertex, and after its
-            # last one too when the order is the triangle
-            for p in range(r, r + (3 if s == 3 else 2)):
-                k = (p + 1) % s
-                cand = order[:k] + (v,) + order[k:]
-                pos = positions(cand)
-                if all(_outer(pos, e) for e in active_marks) and _slot_is_fan_planar(
-                    adj, cand, pos, v
-                ):
-                    new_live.add(canonicalize(cand))
-        live = sorted(new_live)
+        live = _reinsert_vertex(live, adj, marks, v, rec.neighbors)
         # the branch bound counts distinct drawings; one drawing can be held
         # as several labeled orders when the graph has automorphisms
         drawings = len(live)
@@ -355,7 +436,7 @@ def _peel_and_reinsert(
             raw.reason = f"no feasible slot when reinserting {v}"
             return
 
-    final = [o for o in live if _drawable(g, o, outer_required)]
+    final = [o for o in sorted(live) if _drawable(g, o, outer_required)]
     if not final:
         raw.accepted = False
         raw.verdict = Verdict.REJECTED_NO_EMBEDDING
@@ -686,17 +767,21 @@ def recognize(g: Graph) -> RecognitionOutcome:
         return RecognitionOutcome(
             Verdict.REJECTED_NOT_BICONNECTED, "graph is not biconnected", (), ()
         )
+    peel = None
     if g.n >= 4 and g.m == 3 * g.n - 6:
         peel = peel_degree3_k4(dict(enumerate(g.adj)))
         if len(peel[1]) == 3:  # a 3-tree: its tree would be one R node
             return _finish(g, _recognize_3connected_raw(g, frozenset(), peel))
-    return _recognize_from_tree(g, spqr.build_spqr(g))
+    return _recognize_from_tree(g, spqr.build_spqr(g), peel)
 
 
-def _recognize_from_tree(g: Graph, tree: spqr.SpqrTree) -> RecognitionOutcome:
-    """:func:`recognize` for a biconnected g, given its SPQR tree."""
+def _recognize_from_tree(
+    g: Graph, tree: spqr.SpqrTree, peel: Peel | None = None
+) -> RecognitionOutcome:
+    """:func:`recognize` for a biconnected g, given its SPQR tree and, if the
+    caller has it, g's :func:`~outerfan.graph.peel_degree3_k4`."""
     if tree.triconnected:
-        return _finish(g, _recognize_3connected_raw(g, frozenset()))
+        return _finish(g, _recognize_3connected_raw(g, frozenset(), peel))
     trace: list[str] = [f"spqr tree with {len(tree.nodes)} nodes"]
     max_live = 0
     two_hop_candidates = 0
@@ -808,11 +893,3 @@ def _recognize_from_tree(g: Graph, tree: spqr.SpqrTree) -> RecognitionOutcome:
         two_hop_candidates,
     )
 
-
-def k4_subsets(g: Graph) -> list[tuple[int, int, int, int]]:
-    """All 4-cliques, for the structural audits."""
-    out = []
-    for quad in combinations(range(g.n), 4):
-        if all(g.has_edge(a, b) for a, b in combinations(quad, 2)):
-            out.append(quad)
-    return out

@@ -16,9 +16,9 @@ from itertools import combinations
 from typing import Iterator
 
 from . import circular, oracle, spqr
-from .circular import EdgeClass, classify_edge, consecutive_run, positions
+from .circular import EdgeClass, chords_cross, classify_edge, consecutive_run
 from .graph import Edge, Graph, build_graph, is_biconnected
-from .recognizer import _recognize_from_tree, _slot_is_fan_planar
+from .recognizer import Apexes, _insert_apexes, _recognize_from_tree
 
 
 def all_graphs(n: int) -> Iterator[Graph]:
@@ -50,17 +50,18 @@ def grown_graph(n: int, rng: random.Random) -> Graph:
     Start from a triangle drawn on a circle.  Each new vertex is joined to
     three pairwise-adjacent vertices that are consecutive on the circle and
     placed next to the middle one; a placement is kept only if the drawing
-    stays fan-planar, which the recognizer's incremental slot check decides
-    from the new edges and the old edges they cross.  Labels are shuffled at
-    the end.  For n = 4 and n >= 6 the result is maximal outer-fan-planar, a
-    known-accepted family beyond the oracle's range (the tests check it
-    against the oracle at small n).  At n = 5 it is K5 minus an edge, which
-    is not maximal.
+    stays fan-planar, which the reinsertion's apex step decides from the
+    middle vertex's edges and the crossing apexes kept for the drawing.
+    Labels are shuffled at the end.  For n = 4 and n >= 6 the result is
+    maximal outer-fan-planar, a known-accepted family beyond the oracle's
+    range (the tests check it against the oracle at small n).  At n = 5 it
+    is K5 minus an edge, which is not maximal.
     """
     if n < 3:
         raise ValueError("grown graphs need n >= 3")
     order = [0, 1, 2]
     adj = {0: {1, 2}, 1: {0, 2}, 2: {0, 1}}
+    apex: Apexes = {}
     for v in range(3, n):
         s = len(order)
         slots = [(i, side) for i in range(s) for side in (0, 1)]
@@ -69,15 +70,15 @@ def grown_graph(n: int, rng: random.Random) -> Graph:
             x, y, z = order[i - 1], order[i], order[(i + 1) % s]
             if not (y in adj[x] and z in adj[x] and z in adj[y]):
                 continue
-            cand = tuple(order[: i + side] + [v] + order[i + side :])
-            adj[v] = {x, y, z}
-            for w in adj[v]:
-                adj[w].add(v)
-            if _slot_is_fan_planar(adj, cand, positions(cand), v):
-                order = list(cand)
+            # side 0 puts v between x and y, side 1 between y and z
+            entries = _insert_apexes(adj, apex, v, y, z if side == 0 else x)
+            if entries is not None:
+                apex.update(entries)
+                order.insert(i + side, v)
+                adj[v] = {x, y, z}
+                for w in adj[v]:
+                    adj[w].add(v)
                 break
-            for w in adj.pop(v):
-                adj[w].discard(v)
         else:
             raise RuntimeError(f"no fan-planar slot for vertex {v}")
     perm = list(range(n))
@@ -217,10 +218,16 @@ def audit_accepted(records: list[AcceptedRecord]) -> list[dict]:
     return violations
 
 
-def _audit_order(g: Graph, order: tuple[int, ...]) -> list[dict]:
-    from .circular import chords_cross
-    from .recognizer import k4_subsets
+def k4_subsets(g: Graph) -> list[tuple[int, int, int, int]]:
+    """All 4-cliques, for the structural audits (O(n^4))."""
+    out = []
+    for quad in combinations(range(g.n), 4):
+        if all(g.has_edge(a, b) for a, b in combinations(quad, 2)):
+            out.append(quad)
+    return out
 
+
+def _audit_order(g: Graph, order: tuple[int, ...]) -> list[dict]:
     issues: list[dict] = []
     n = len(order)
     pos = {v: i for i, v in enumerate(order)}

@@ -3,10 +3,17 @@ import random
 from itertools import combinations
 from pathlib import Path
 
+import networkx as nx
 import pytest
 
 from outerfan import circular, graph, oracle, recognizer, spqr, sweep
-from outerfan.circular import EdgeClass, check_outer_fan_planar, classify_edge, positions
+from outerfan.circular import (
+    EdgeClass,
+    check_outer_fan_planar,
+    classify_edge,
+    consecutive_run,
+    positions,
+)
 from outerfan.errors import StructuralError
 from outerfan.graph import (
     add_edge,
@@ -456,9 +463,15 @@ def reference_grown_graph(n, rng):
     return build_graph(n, [(perm[u], perm[v]) for u, v in edges])
 
 
+def icosahedron():
+    """5-regular and 3-connected with 3n - 6 edges: its peel removes nothing."""
+    return build_graph(12, nx.icosahedral_graph().edges())
+
+
 def test_recognize_builds_one_tree_and_tests_no_triconnectivity(monkeypatch):
     """Every biconnected input costs one SPQR build and no separate
     3-connectivity test, except a 3-tree, which costs one peel and no build;
+    a 3-connected input with 3n - 6 edges is peeled once whatever its path;
     3-connected inputs leave no SPQR trace line."""
     real_build, real_tri = spqr.build_spqr, graph.is_triconnected
     real_peel = graph.peel_degree3_k4
@@ -484,6 +497,7 @@ def test_recognize_builds_one_tree_and_tests_no_triconnectivity(monkeypatch):
     rng = random.Random(44)
     inputs = [complete_graph(4), complete_graph(5), complete_two_hop_graph(8)]
     inputs += [cycle_graph(3), cycle_graph(6), remark6_graph()]
+    inputs += [complete_two_hop_graph(6), icosahedron()]
     inputs += [grown_graph(n, rng) for n in (6, 7, 9, 12, 16)]
     inputs += [sample_biconnected(n, rng) for n in (5, 6, 7, 8) for _ in range(10)]
     seen_accepted_3connected = three_trees = 0
@@ -496,7 +510,7 @@ def test_recognize_builds_one_tree_and_tests_no_triconnectivity(monkeypatch):
         three_trees += three_tree
         assert calls["build_spqr"] == (0 if three_tree else 1), g.edge_list()
         assert calls["is_triconnected"] == 0, g.edge_list()
-        if three_tree:
+        if g.n >= 4 and g.m == 3 * g.n - 6 and real_tri(g):
             assert calls["peel"] == 1, g.edge_list()
         if out.accepted and real_tri(g):
             seen_accepted_3connected += 1
@@ -508,6 +522,28 @@ def test_recognize_builds_one_tree_and_tests_no_triconnectivity(monkeypatch):
     calls.update(build_spqr=0, is_triconnected=0, peel=0)
     recognize(path_graph(5))
     assert calls == {"build_spqr": 0, "is_triconnected": 0, "peel": 0}
+
+
+def test_recognize_dispatches_as_the_tree_path():
+    """``recognize``'s biconnectivity gate and 3-tree peel give what the
+    tree path that the sweep runs gives, on every biconnected graph with
+    n = 4..6 and 3n - 6 edges and on every biconnected seven-vertex class."""
+    graphs = [
+        g
+        for n in (4, 5, 6)
+        for edges in combinations(combinations(range(n), 2), 3 * n - 6)
+        if graph.is_biconnected(g := build_graph(n, edges))
+    ]
+    assert len(graphs) == 466
+    graphs += [
+        build_graph(7, h.edges())
+        for h in nx.graph_atlas_g()
+        if h.number_of_nodes() == 7 and nx.is_biconnected(h)
+    ]
+    assert len(graphs) == 466 + 468
+    for g in graphs:
+        by_tree = recognizer._recognize_from_tree(g, spqr.build_spqr(g))
+        assert recognize(g).to_json_dict() == by_tree.to_json_dict(), g.edge_list()
 
 
 def test_sweep_checks_the_tree_recognition_used(monkeypatch):
@@ -559,12 +595,21 @@ def test_recognize_runs_no_reference_fan_check(monkeypatch):
 
 
 def reference_peel_sequence(g, outer_required=frozenset()):
+    """The trace lines of :func:`reference_peel`."""
+    return reference_peel(g, outer_required)[0]
+
+
+def reference_peel(g, outer_required=frozenset()):
     """The peel as it picked vertices before the worklist: every step rescans
-    the vertices in sorted order for the least degree-3 vertex of a 4-clique.
-    Returns the trace lines the peel writes, rejection line included."""
+    the vertices in sorted order for the least degree-3 vertex of a 4-clique,
+    and the marks are rescanned too.  Returns the trace lines the peel
+    writes, rejection line included, the records (vertex, neighbors, edges
+    marked) of the removals, or None after a rejection, the marks and the
+    adjacency left."""
     adj = {v: set(g.adj[v]) for v in range(g.n)}
     marks = {e: None for e in outer_required}
     marked_triangles = []
+    records = []
     lines = []
     while True:
         pick = None
@@ -584,7 +629,7 @@ def reference_peel_sequence(g, outer_required=frozenset()):
             e for e in marks if v in e and e[0] in present and e[1] in present
         ]
         if len(tris_with_v) >= 3 or len(marked_edges_at_v) >= 3:
-            return lines + [f"peel reject at {v}: saturated marks"]
+            return lines + [f"peel reject at {v}: saturated marks"], None, marks, adj
         newly_marked = []
         for t in tris_with_v:
             e = norm_edge(*sorted(t - {v}))
@@ -595,13 +640,134 @@ def reference_peel_sequence(g, outer_required=frozenset()):
             adj[w].discard(v)
         del adj[v]
         marked_triangles.append(frozenset(nbrs))
+        records.append((v, nbrs, newly_marked))
         lines.append(f"peel {v} neighbors {nbrs} marked {newly_marked}")
     if len(adj) != 3 or any(len(adj[v]) != 2 for v in adj):
         lines.append(f"peeling stuck with {len(adj)} vertices, not a triangle")
-    return lines
+    return lines, records, marks, adj
 
 
-def test_peel_worklist_picks_as_the_sorted_rescan():
+def reference_reinsert(g, outer_required=frozenset()):
+    """Peel and reinsert as before the apex step: each slot of each live
+    order is checked by walking chord arcs (``_slot_is_fan_planar``) on the
+    order's positions, against every active mark.  Returns the trace lines,
+    the live orders after each step and the orders that pass the final
+    check."""
+    lines, records, marks, adj = reference_peel(g, outer_required)
+    if records is None or lines[-1].startswith("peeling stuck"):
+        return lines, [], []
+    live = [tuple(sorted(adj))]
+    steps = []
+    for v, nbrs, edges_marked in reversed(records):
+        for e in edges_marked:
+            del marks[e]
+        adj[v] = set(nbrs)
+        for w in nbrs:
+            adj[w].add(v)
+        active_marks = [e for e in marks if e[0] in adj and e[1] in adj]
+        new_live = set()
+        for order in live:
+            s = len(order)
+            r = consecutive_run(positions(order), set(nbrs))
+            if r is None:
+                continue
+            for p in range(r, r + (3 if s == 3 else 2)):
+                k = (p + 1) % s
+                cand = order[:k] + (v,) + order[k:]
+                pos = positions(cand)
+                if all(
+                    (pos[a] - pos[b]) % len(cand) in (1, len(cand) - 1)
+                    for a, b in active_marks
+                ) and _slot_is_fan_planar(adj, cand, pos, v):
+                    new_live.add(circular.canonicalize(cand))
+        live = sorted(new_live)
+        steps.append(live)
+        drawings = len(live)
+        if drawings > 1:
+            partial, relabel = graph.dense_graph(
+                adj, [(u, w) for u in adj for w in adj[u] if u < w]
+            )
+            drawings = len({
+                circular.drawing_key(partial, tuple(relabel[x] for x in o)) for o in live
+            })
+        lines.append(f"reinsert {v}: {len(live)} live orders, {drawings} drawings")
+        if not live:
+            return lines, steps, []
+    return lines, steps, [o for o in live if recognizer._drawable(g, o, outer_required)]
+
+
+def crossing_apexes(report, to_orig):
+    """The apex map of a drawing, from its reference crossing lists."""
+    out = {}
+    for e, crossers in report.crossings.items():
+        if crossers:
+            common = frozenset.intersection(*map(frozenset, crossers))
+            out[norm_edge(to_orig[e[0]], to_orig[e[1]])] = frozenset(
+                to_orig[x] for x in common
+            )
+    return out
+
+
+def test_reinsertion_matches_the_arc_walk_loop(monkeypatch):
+    """The apex step against the reinsertion it replaced, on the peel
+    tests' graphs: the same trace, the same live orders after every step and
+    the same final orders.  Each candidate slot of each step is also put to
+    the reference checker on the partial graph: the apex verdict equals its
+    verdict, and a passing slot's apex map, like every live order's, equals
+    the one its crossing lists give."""
+    real = recognizer._reinsert_vertex
+    verdicts = {True: 0, False: 0}
+    steps = []
+
+    def checked(live, adj, marks, v, nbrs):
+        partial, relabel = graph.dense_graph(
+            adj, [(u, w) for u in adj for w in adj[u] if u < w]
+        )
+        to_orig = list(relabel)
+        for order, apex in live.items():
+            s = len(order)
+            r = consecutive_run(positions(order), set(nbrs))
+            if r is None:
+                continue
+            for p in range(r, r + (3 if s == 3 else 2)):
+                k = (p + 1) % s
+                cand = order[:k] + (v,) + order[k:]
+                # v's circle neighbors, its third neighbor, and the one that
+                # sits between v and the third
+                left, right = cand[k - 1], cand[(k + 1) % (s + 1)]
+                (far,) = set(nbrs) - {left, right}
+                mid = right if cand[(k + 2) % (s + 1)] == far else left
+                entries = recognizer._insert_apexes(adj, apex, v, mid, far)
+                report = check_outer_fan_planar(partial, tuple(relabel[x] for x in cand))
+                assert (entries is not None) == report.verdict, (order, v)
+                verdicts[report.verdict] += 1
+                if entries is not None:
+                    assert {**apex, **entries} == crossing_apexes(report, to_orig)
+        out = real(live, adj, marks, v, nbrs)
+        for order, apex in out.items():
+            report = check_outer_fan_planar(partial, tuple(relabel[x] for x in order))
+            assert apex == crossing_apexes(report, to_orig), (order, v)
+        steps.append(sorted(out))
+        return out
+
+    monkeypatch.setattr(recognizer, "_reinsert_vertex", checked)
+    seen = set()
+    for g, outer in peel_cases():
+        steps.clear()
+        raw = _recognize_3connected_raw(g, outer)
+        if raw.path != "peel":
+            continue
+        lines, ref_steps, final = reference_reinsert(g, outer)
+        assert raw.trace == lines, (g.edge_list(), outer)
+        assert steps == ref_steps, (g.edge_list(), outer)
+        assert raw.orders == final, (g.edge_list(), outer)
+        seen.add(" ".join(raw.reason.split()[:3]) if raw.reason else None)
+    assert verdicts[True] > 0 and verdicts[False] > 0
+    assert {None, "no feasible slot"} <= seen, seen
+
+
+def peel_cases():
+    """3-connected graphs with required outer edges for the peel tests."""
     rng = random.Random(4242)
     cases = [(grown_graph(n, rng), frozenset()) for n in range(6, 49, 2)]
     while len(cases) < 100:  # seeded random 3-connected graphs
@@ -614,8 +780,12 @@ def test_peel_worklist_picks_as_the_sorted_rescan():
         g = grown_graph(rng.randint(6, 20), rng)
         cases.append((add_edge(g, *rng.choice(g.non_edges())), frozenset()))
         cases.append((g, frozenset(rng.sample(sorted(g.edges), rng.randint(1, 4)))))
+    return cases
+
+
+def test_peel_worklist_picks_as_the_sorted_rescan():
     reasons = set()
-    for g, outer in cases:
+    for g, outer in peel_cases():
         raw = _recognize_3connected_raw(g, outer)
         if raw.path != "peel":
             continue
