@@ -5,8 +5,8 @@ Each line is the median of three runs, in seconds, of one call:
 
 - ``build_spqr`` on the 2 x k ladder (two paths of k vertices joined by k
   rungs, whose tree is a path of about 3k nodes), k = 100 ... 5000;
-- ``build_spqr`` on ``perfbench/gen.chords_graph`` (the n-cycle plus n // 2
-  random chords, seeded), n = 100, 200, 400;
+- ``build_spqr`` and ``recognize`` on ``perfbench/gen.chords_graph`` (the
+  n-cycle plus n // 2 random chords, seeded), n = 100, 200, 400;
 - ``recognize(complete_two_hop_graph(1024))``.
 
 A last line runs ``verify_tree`` and ``reconstruct`` once on the largest
@@ -58,6 +58,7 @@ def main() -> int:
     for n in CHORDS:
         g = build_graph(*gen.chords_graph(n, rng))
         print(f"build_spqr chords n={n}: {median_seconds(build_spqr, g):.4f} s", flush=True)
+        print(f"recognize chords n={n}: {median_seconds(recognize, g):.4f} s", flush=True)
     seconds = median_seconds(recognize, complete_two_hop_graph(1024))
     print(f"recognize complete_two_hop_graph(1024): {seconds:.4f} s", flush=True)
     g = ladder(LADDERS[-1])

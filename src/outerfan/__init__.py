@@ -48,7 +48,7 @@ from .reduction import (
     route_witness,
     validate_witness,
 )
-from .spqr import SpqrNode, SpqrTree, build_spqr, node_views, reconstruct
+from .spqr import SpqrNode, SpqrTree, build_spqr, reconstruct
 
 __all__ = [
     "CircularOrder",
@@ -81,7 +81,6 @@ __all__ = [
     "is_porous",
     "is_triconnected",
     "load_graph",
-    "node_views",
     "outer_fan_planar_order",
     "path_graph",
     "recognize",

@@ -779,7 +779,15 @@ def _recognize_from_tree(
     g: Graph, tree: spqr.SpqrTree, peel: Peel | None = None
 ) -> RecognitionOutcome:
     """:func:`recognize` for a biconnected g, given its SPQR tree and, if the
-    caller has it, g's :func:`~outerfan.graph.peel_degree3_k4`."""
+    caller has it, g's :func:`~outerfan.graph.peel_degree3_k4`.
+
+    A node's skeleton view (its skeleton relabeled to a dense graph) is
+    built only when a check reads it: a rigid node's in the rigid-skeleton
+    loop, just before that skeleton is tested, and every other node's once
+    the tree-shape checks (rigid-rigid and rigid-series adjacency, series
+    length, parallel edge count) have passed, before the parallel-node
+    porosity checks and the assembly.  A graph rejected at a rigid skeleton
+    thus builds the views of that node and the rigid nodes before it."""
     if tree.triconnected:
         return _finish(g, _recognize_3connected_raw(g, frozenset(), peel))
     trace: list[str] = [f"spqr tree with {len(tree.nodes)} nodes"]
@@ -802,7 +810,7 @@ def _recognize_from_tree(
             path="cycle",
         )
 
-    views = {n.id: _skeleton_view(n) for n in tree.nodes}
+    views: dict[int, _SkelView] = {}
     kinds = {n.id: n.kind for n in tree.nodes}
     # node to its tree neighbors with their poles, in tree edge order
     tree_adj: dict[int, list[tuple[int, Edge]]] = {n.id: [] for n in tree.nodes}
@@ -813,9 +821,11 @@ def _recognize_from_tree(
 
     # rigid skeletons (3-connected by construction) must be maximal with all
     # virtual edges on the outer face
-    for nid, view in sorted(views.items()):
-        if view.kind != "R":
+    for node in tree.nodes:
+        if node.kind != "R":
             continue
+        nid = node.id
+        view = views[nid] = _skeleton_view(node)
         res = _recognize_3connected_raw(view.graph, view.virtual_edges)
         max_live = max(max_live, res.max_live)
         two_hop_candidates = max(two_hop_candidates, res.two_hop_candidates)
@@ -842,8 +852,6 @@ def _recognize_from_tree(
                 Verdict.REJECTED_STRUCTURE,
                 f"series node {node.id} is a cycle of length {len(node.edges)}",
             )
-        if node.kind == "S":
-            views[node.id].drawings = [tuple(range(3))]
 
     for node in tree.nodes:
         if node.kind != "P":
@@ -853,6 +861,12 @@ def _recognize_from_tree(
                 Verdict.REJECTED_STRUCTURE,
                 f"parallel node {node.id} needs exactly three edges, one real",
             )
+
+    for node in tree.nodes:
+        if node.kind != "R":
+            views[node.id] = _skeleton_view(node)
+        if node.kind == "S":
+            views[node.id].drawings = [tuple(range(3))]
 
     for node in tree.nodes:
         if node.kind != "P":

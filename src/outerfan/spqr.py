@@ -14,8 +14,9 @@ links with one union-find pass, which gives the classical unique
 decomposition into series (cycle), parallel (edge bundle) and rigid
 (3-connected) nodes.  The numbering pass orders nodes and tree edges
 canonically and builds each node once, so the tree does not depend on the
-order in which the split met its components.  A 2 x 5000 ladder builds in
-under a second on a 2-core virtual machine.
+order in which the split met its components; it sorts each skeleton's
+edges once, and a parallel node's a second time by tree edge id.  A
+2 x 5000 ladder builds in under a second on a 2-core virtual machine.
 
 :func:`verify_tree` checks a tree against its graph without the split: its
 rigid skeletons go to :func:`outerfan.graph.is_triconnected`, whose
@@ -32,6 +33,7 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import NamedTuple
 
 from .errors import StructuralError
@@ -100,6 +102,9 @@ class _MEdge:
 
     def __init__(self, pair: Edge, kind: str, link: int | None):
         self.pair, self.kind, self.link = pair, kind, link
+
+
+_pair_kind = attrgetter("pair", "kind")
 
 
 def _vertices(edges: list[_MEdge]) -> set[int]:
@@ -552,20 +557,24 @@ def build_spqr(g: Graph) -> SpqrTree:
 
 def _number(record: list[tuple[str, list[_MEdge]]], links: int) -> SpqrTree:
     """The tree of the merged skeletons, each node built once with its final
-    tree edge ids; links up to ``links`` are in use."""
+    tree edge ids; links up to ``links`` are in use.
+
+    Each skeleton's edges are sorted once, by pair and kind, and that one
+    order serves both the node key and the output.  Only in a parallel
+    node do two edges share a pair and kind; its edges are sorted again by
+    kind and tree edge id once the ids are known."""
     # materialize Q leaves for the real edge of each parallel skeleton
     q_edges = [e for kind, skel in record if kind == "P" for e in skel if e.kind == "real"]
     for link, e in enumerate(q_edges, links):
         e.link = link
         record.append(("Q", [_MEdge(e.pair, "real", link)]))
 
-    # deterministic ordering: nodes by smallest contained vertex, then
-    # shape; tree edges by their two nodes and poles; a parallel node's
-    # edges, which share one pair, by their tree edge ids
+    # deterministic ordering: nodes by their sorted vertices, then shape;
+    # tree edges by their two nodes and poles
     keyed = []
     for kind, skel in record:
-        vs = sorted(_vertices(skel))
-        keyed.append(((vs[0], vs, kind, sorted((e.pair, e.kind) for e in skel)), kind, skel))
+        skel.sort(key=_pair_kind)
+        keyed.append(((sorted(_vertices(skel)), kind, list(map(_pair_kind, skel))), kind, skel))
     keyed.sort(key=lambda item: item[0])
     ends: dict[int, list[tuple[int, Edge]]] = {}
     for nid, (_key, _kind, skel) in enumerate(keyed):
@@ -582,15 +591,15 @@ def _number(record: list[tuple[str, list[_MEdge]]], links: int) -> SpqrTree:
         spans.append((x, y, pu, link))
     spans.sort()
     tid = {link: i for i, (_x, _y, _p, link) in enumerate(spans)}
+    for _key, kind, skel in keyed:
+        if kind == "P":  # every link of a parallel node is a tree edge
+            skel.sort(key=lambda e: (e.kind, tid[e.link]))
     nodes = tuple(
         SpqrNode(
             nid,
             kind,
-            tuple(key[1]),
-            tuple(
-                SkeletonEdge(*e.pair, kind=e.kind, link=tid.get(e.link))
-                for e in sorted(skel, key=lambda e: (e.pair, e.kind, tid.get(e.link, -1)))
-            ),
+            tuple(key[0]),
+            tuple(SkeletonEdge(*e.pair, e.kind, tid.get(e.link)) for e in skel),
         )
         for nid, (key, kind, skel) in enumerate(keyed)
     )
@@ -598,7 +607,7 @@ def _number(record: list[tuple[str, list[_MEdge]]], links: int) -> SpqrTree:
 
 
 # ---------------------------------------------------------------------------
-# Reconstruction and projections
+# Reconstruction and serialization
 # ---------------------------------------------------------------------------
 
 
@@ -653,29 +662,6 @@ def reconstruct(t: SpqrTree) -> Graph:
     return build_graph(n, pairs)
 
 
-def node_views(t: SpqrTree) -> list[dict]:
-    """Per-node projection: kind, neighbor kinds, virtual edge endpoints."""
-    kinds = {n.id: n.kind for n in t.nodes}
-    nbrs: dict[int, list[tuple[int, str, Edge]]] = {n.id: [] for n in t.nodes}
-    for te in t.tree_edges:
-        nbrs[te.x].append((te.y, kinds[te.y], (te.u, te.v)))
-        nbrs[te.y].append((te.x, kinds[te.x], (te.u, te.v)))
-    out = []
-    for node in t.nodes:
-        out.append(
-            {
-                "id": node.id,
-                "kind": node.kind,
-                "vertices": list(node.vertices),
-                "neighbor_kinds": sorted(k for _, k, _ in nbrs[node.id]),
-                "virtual_endpoints": sorted(
-                    e.pair() for e in node.edges if e.kind == "virtual"
-                ),
-            }
-        )
-    return out
-
-
 def tree_to_json(t: SpqrTree) -> str:
     payload = {
         "nodes": [
@@ -696,27 +682,6 @@ def tree_to_json(t: SpqrTree) -> str:
         ],
     }
     return json.dumps(payload, indent=2, sort_keys=True)
-
-
-def tree_from_json(text: str) -> SpqrTree:
-    payload = json.loads(text)
-    nodes = tuple(
-        SpqrNode(
-            d["id"],
-            d["kind"],
-            tuple(d["vertices"]),
-            tuple(
-                SkeletonEdge(e["u"], e["v"], e["kind"], e["link"])
-                for e in d["edges"]
-            ),
-        )
-        for d in payload["nodes"]
-    )
-    tes = tuple(
-        TreeEdge(d["id"], d["x"], d["y"], d["u"], d["v"])
-        for d in payload["tree_edges"]
-    )
-    return SpqrTree(nodes, tes)
 
 
 def verify_tree(t: SpqrTree, g: Graph) -> list[str]:

@@ -1,5 +1,6 @@
 import ast
 import random
+import re
 from itertools import combinations
 from pathlib import Path
 
@@ -42,6 +43,8 @@ from outerfan.sweep import (
     grown_graph,
     sample_biconnected,
 )
+from test_acceptance import oracle_completion
+from test_spqr import bundle, cycle_plus_chords, piece, two_sum
 
 
 def remark6_graph():
@@ -544,6 +547,65 @@ def test_recognize_dispatches_as_the_tree_path():
     for g in graphs:
         by_tree = recognizer._recognize_from_tree(g, spqr.build_spqr(g))
         assert recognize(g).to_json_dict() == by_tree.to_json_dict(), g.edge_list()
+
+
+SHAPE_REJECTION = re.compile(
+    r"rigid node adjacent to|series node \d+ is a cycle of length"
+    r"|parallel node \d+ needs exactly three edges"
+)
+
+
+def test_skeleton_views_are_built_when_a_check_reads_them(monkeypatch):
+    """On the tree path, a rejection at a rigid skeleton builds the views of
+    the rigid nodes up to that one; a rejection by the tree's shape (rigid
+    adjacency, series length, parallel edge count) builds the rigid views
+    only; a graph that reaches the parallel-node porosity checks builds
+    every node's view once, the rigid ones first, and an accepted one
+    lists the oracle's drawings."""
+    real_view = recognizer._skeleton_view
+    built = []
+
+    def counting_view(node):
+        built.append(node.id)
+        return real_view(node)
+
+    monkeypatch.setattr(recognizer, "_skeleton_view", counting_view)
+    rng = random.Random(1021)
+    graphs = [
+        build_graph(h.number_of_nodes(), h.edges())
+        for h in nx.graph_atlas_g()
+        if 5 <= h.number_of_nodes() <= 7 and nx.is_biconnected(h)
+    ]
+    graphs += [cycle_plus_chords(n, rng) for n in range(20, 51, 2)]
+    for _ in range(150):
+        g = piece(rng)
+        for _ in range(rng.randint(1, 3)):
+            g = two_sum(g, piece(rng), rng)
+        graphs.append(g)
+    graphs += [bundle([piece(rng) for _ in range(3)], True, rng) for _ in range(30)]
+    graphs += [oracle_completion(8, rng)[0] for _ in range(40)]
+    cases = {"rigid": 0, "shape": 0, "all": 0, "accepted": 0}
+    for g in graphs:
+        built.clear()
+        out = recognize(g)
+        if out.path != "spqr":
+            assert built == []
+            continue
+        tree = spqr.build_spqr(g)
+        rigid = [node.id for node in tree.nodes if node.kind == "R"]
+        at_rigid = re.match(r"rigid skeleton at node (\d+):", out.reason or "")
+        if at_rigid:
+            case, expected = "rigid", [x for x in rigid if x <= int(at_rigid[1])]
+        elif SHAPE_REJECTION.match(out.reason or ""):
+            case, expected = "shape", rigid
+        else:
+            case = "accepted" if out.accepted else "all"
+            expected = rigid + [node.id for node in tree.nodes if node.kind != "R"]
+        assert built == expected, (case, out.reason, g.edge_list())
+        cases[case] += 1
+        if out.accepted and g.n <= 8:
+            assert out.embeddings == oracle.enumerate_embeddings(g), g.edge_list()
+    assert min(cases.values()) >= 10, cases
 
 
 def test_sweep_checks_the_tree_recognition_used(monkeypatch):

@@ -1,8 +1,9 @@
 import dataclasses
+import json
 import random
 import re
 import sys
-from itertools import combinations
+from itertools import chain, combinations
 
 import pytest
 from hypothesis import given, settings
@@ -21,16 +22,49 @@ from outerfan.graph import (
 )
 from outerfan.recognizer import recognize
 from outerfan.spqr import (
+    SkeletonEdge,
+    SpqrNode,
     SpqrTree,
+    TreeEdge,
+    _merge_same_kind,
     _MEdge,
+    _number,
+    _split,
     build_spqr,
-    node_views,
     reconstruct,
-    tree_from_json,
     tree_to_json,
     verify_tree,
 )
 from outerfan.sweep import grown_graph
+
+
+def node_views(t):
+    """Per-node projection: id, kind and the sorted kinds of its neighbors."""
+    kinds = {n.id: n.kind for n in t.nodes}
+    nbrs = {n.id: [] for n in t.nodes}
+    for te in t.tree_edges:
+        nbrs[te.x].append(kinds[te.y])
+        nbrs[te.y].append(kinds[te.x])
+    return [
+        {"id": node.id, "kind": node.kind, "neighbor_kinds": sorted(nbrs[node.id])}
+        for node in t.nodes
+    ]
+
+
+def tree_from_json(text):
+    """The tree that :func:`outerfan.spqr.tree_to_json` wrote."""
+    payload = json.loads(text)
+    nodes = tuple(
+        SpqrNode(
+            d["id"],
+            d["kind"],
+            tuple(d["vertices"]),
+            tuple(SkeletonEdge(e["u"], e["v"], e["kind"], e["link"]) for e in d["edges"]),
+        )
+        for d in payload["nodes"]
+    )
+    tes = tuple(TreeEdge(d["id"], d["x"], d["y"], d["u"], d["v"]) for d in payload["tree_edges"])
+    return SpqrTree(nodes, tes)
 
 
 def random_biconnected(rng, n_lo=4, n_hi=10):
@@ -260,10 +294,52 @@ def reference_merge(skeletons):
     return work
 
 
+def reference_number(record, links):
+    """The numbering pass as it was before it sorted each skeleton once:
+    every skeleton's edges sorted for the node key and again for output."""
+    q_edges = [e for kind, skel in record if kind == "P" for e in skel if e.kind == "real"]
+    for link, e in enumerate(q_edges, links):
+        e.link = link
+        record.append(("Q", [_MEdge(e.pair, "real", link)]))
+    keyed = []
+    for kind, skel in record:
+        vs = sorted(spqr._vertices(skel))
+        keyed.append(((vs[0], vs, kind, sorted((e.pair, e.kind) for e in skel)), kind, skel))
+    keyed.sort(key=lambda item: item[0])
+    ends = {}
+    for nid, (_key, _kind, skel) in enumerate(keyed):
+        for e in skel:
+            if e.link is not None:
+                ends.setdefault(e.link, []).append((nid, e.pair))
+    spans = []
+    for link, owner in ends.items():
+        if len(owner) != 2:
+            raise StructuralError("dangling virtual pair after assembly")
+        (x, pu), (y, pv) = owner
+        if pu != pv:
+            raise StructuralError("paired skeleton edges disagree on endpoints")
+        spans.append((x, y, pu, link))
+    spans.sort()
+    tid = {link: i for i, (_x, _y, _p, link) in enumerate(spans)}
+    nodes = tuple(
+        SpqrNode(
+            nid,
+            kind,
+            tuple(key[1]),
+            tuple(
+                SkeletonEdge(*e.pair, kind=e.kind, link=tid.get(e.link))
+                for e in sorted(skel, key=lambda e: (e.pair, e.kind, tid.get(e.link, -1)))
+            ),
+        )
+        for nid, (key, kind, skel) in enumerate(keyed)
+    )
+    return SpqrTree(nodes, tuple(TreeEdge(i, x, y, *p) for i, (x, y, p, _) in enumerate(spans)))
+
+
 def reference_tree(g):
     dec = ReferenceDecomposition()
     dec.split([_MEdge(p, "real", None) for p in g.edge_list()])
-    return spqr._number(reference_merge(dec.skeletons), dec.next_link)
+    return reference_number(reference_merge(dec.skeletons), dec.next_link)
 
 
 def sparse_biconnected(n, rng):
@@ -315,8 +391,9 @@ def piece(rng):
     return complete_graph(4) if kind == 1 else grown_graph(rng.randint(5, 9), rng)
 
 
-def test_builder_matches_the_recursive_reference():
-    rng = random.Random(1007)
+def families(rng):
+    """Sparse, cycle-plus-chords and grown graphs, 2-sums, ladders, chains
+    and bundles, drawn in that order, by family name."""
     sparse = [sparse_biconnected(n, rng) for n in range(4, 17) for _ in range(40)]
     chords = [cycle_plus_chords(n, rng) for n in range(6, 61, 2) for _ in range(3)]
     # 3-trees, whose trees are one rigid node, and 2-sums of two 3-trees,
@@ -339,9 +416,17 @@ def test_builder_matches_the_recursive_reference():
         for keep in (True, False)
         for _ in range(20)
     ]
+    return {
+        "sparse": sparse, "chords": chords, "grown": grown, "sums": sums,
+        "ladders": ladders, "chains": chains, "bundled": bundled,
+    }
+
+
+def test_builder_matches_the_recursive_reference():
+    family = families(random.Random(1007))
     bundles = three_tree_skeletons = 0
     wide = {True: 0, False: 0}  # P nodes with three virtual edges, by real edge
-    for g in sparse + chords + grown + sums + ladders + chains + bundled:
+    for g in chain.from_iterable(family.values()):
         t = build_spqr(g)
         assert tree_to_json(t) == tree_to_json(reference_tree(g))
         bundles += any(
@@ -355,8 +440,34 @@ def test_builder_matches_the_recursive_reference():
                 wide[any(e.kind == "real" for e in n.edges)] += 1
     # the order of a parallel node's virtual edges follows the tree edge ids
     assert bundles > 100
-    assert three_tree_skeletons >= len(grown) + 2 * len(sums)
+    assert three_tree_skeletons >= len(family["grown"]) + 2 * len(family["sums"])
     assert min(wide.values()) >= 20
+
+
+def copied(record):
+    return [(kind, [_MEdge(e.pair, e.kind, e.link) for e in skel]) for kind, skel in record]
+
+
+def test_number_matches_the_double_sort_reference():
+    """The numbering pass, which sorts each skeleton once, gives the tree
+    that the double-sort reference gives on the merged skeletons of every
+    family, with the skeletons and their edges handed to both in the same
+    shuffled order."""
+    rng = random.Random(1019)
+    wide = 0  # parallel nodes with three or more virtual edges
+    for g in chain.from_iterable(families(rng).values()):
+        skeletons, links = _split(g)
+        record = _merge_same_kind(skeletons)
+        rng.shuffle(record)
+        for _kind, skel in record:
+            rng.shuffle(skel)
+        t = _number(copied(record), links)
+        assert t == reference_number(copied(record), links)
+        assert t == build_spqr(g)
+        wide += sum(
+            n.kind == "P" and sum(e.kind == "virtual" for e in n.edges) >= 3 for n in t.nodes
+        )
+    assert wide >= 40
 
 
 @st.composite
