@@ -7,7 +7,9 @@ Each line is the median of three runs, in seconds, of one call:
   rungs, whose tree is a path of about 3k nodes), k = 100 ... 5000;
 - ``build_spqr`` and ``recognize`` on ``perfbench/gen.chords_graph`` (the
   n-cycle plus n // 2 random chords, seeded), n = 100, 200, 400;
-- ``recognize(complete_two_hop_graph(1024))``.
+- ``recognize(complete_two_hop_graph(1024))``;
+- ``recognize`` on ``sweep.grown_graph(n, random.Random(1))``, accepted on
+  the peel path, n = 256, 512, 1024.
 
 A last line runs ``verify_tree`` and ``reconstruct`` once on the largest
 ladder's tree.  Run it from the repository root:
@@ -30,9 +32,11 @@ import gen  # noqa: E402
 from outerfan.graph import build_graph, complete_two_hop_graph  # noqa: E402
 from outerfan.recognizer import recognize  # noqa: E402
 from outerfan.spqr import build_spqr, reconstruct, verify_tree  # noqa: E402
+from outerfan.sweep import grown_graph  # noqa: E402
 
 LADDERS = (100, 200, 400, 1000, 5000)
 CHORDS = (100, 200, 400)
+GROWN = (256, 512, 1024)
 RUNS = 3
 
 
@@ -61,6 +65,9 @@ def main() -> int:
         print(f"recognize chords n={n}: {median_seconds(recognize, g):.4f} s", flush=True)
     seconds = median_seconds(recognize, complete_two_hop_graph(1024))
     print(f"recognize complete_two_hop_graph(1024): {seconds:.4f} s", flush=True)
+    for n in GROWN:
+        g = grown_graph(n, random.Random(1))
+        print(f"recognize grown_graph n={n}: {median_seconds(recognize, g):.4f} s", flush=True)
     g = ladder(LADDERS[-1])
     t = build_spqr(g)
     t0 = time.perf_counter()

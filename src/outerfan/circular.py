@@ -7,11 +7,14 @@ when every edge that is crossed two or more times is crossed only by edges
 sharing a common endpoint.  In convex position an edge's crossers can never
 straddle both sides of it, so the common-endpoint test is the whole check.
 :func:`check_outer_fan_planar` lists every crossing and is the readable
-reference; :func:`fan_planar_edges` gives the same verdict for chosen edges
-by walking each chord's shorter arc.  The recognizer uses it for its base
-case, porosity, the final check of its reinsertion orders and assembled
-drawings; the reinsertion slots and the grown-graph generator keep crossing
-apexes instead and walk no arcs.
+reference; :func:`fan_planar_edges` gives the same verdict for a whole
+drawing from per-vertex reach: the least and the greatest neighbor position
+of each vertex tell, in two comparisons, whether it has an edge across a
+chord, so each chord's crossers' ends on its shorter side are found without
+reading neighbors, and neighbors are read only to count the far ends of two
+or more.  The recognizer uses it for its base case, porosity, the final
+check of its reinsertion orders and assembled drawings; the reinsertion
+slots and the grown-graph generator keep crossing apexes instead.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping
+from typing import Collection, Mapping
 
 from .errors import GraphInputError
 from .graph import Edge, Graph, norm_edge
@@ -136,34 +139,73 @@ def check_outer_fan_planar(g: Graph, order: CircularOrder) -> CrossingReport:
     )
 
 
-def fan_planar_edges(
-    adj, order: CircularOrder, pos: Mapping[int, int], edges: Iterable[Edge],
-    crossed: set[Edge] | None = None,
-) -> bool:
-    """Whether each of ``edges`` is crossed only by edges sharing an endpoint.
+def _reach(pos: Mapping[int, int], edges: Collection[Edge]) -> tuple[list[int], list[int]]:
+    """The least and the greatest neighbor position of the vertex at each
+    position (n and -1 if it has none)."""
+    n = len(pos)
+    lo, hi = [n] * n, [-1] * n
+    for a, b in edges:
+        i, j = pos[a], pos[b]
+        if i < lo[j]:
+            lo[j] = i
+        if i > hi[j]:
+            hi[j] = i
+        if j < lo[i]:
+            lo[i] = j
+        if j > hi[i]:
+            hi[i] = j
+    return lo, hi
 
-    This is :func:`check_outer_fan_planar`'s verdict restricted to ``edges``.
-    ``adj`` maps each vertex of ``order`` to its neighbors and ``pos`` is
-    ``positions(order)``.  A crosser of a chord has exactly one endpoint on
-    each side of it, so the crossers are listed from the shorter arc, and
-    they share an endpoint iff their ends on one side are a single vertex.
-    Every crosser met is added to ``crossed`` when it is given.
+
+def fan_planar_edges(
+    adj, order: CircularOrder, pos: Mapping[int, int], edges: Collection[Edge]
+) -> bool:
+    """Whether ``order`` is a fan-planar drawing of the graph with ``edges``.
+
+    This is :func:`check_outer_fan_planar`'s verdict.  ``adj`` maps each
+    vertex of ``order`` to its neighbors, ``edges`` are all of its edges and
+    ``pos`` is ``positions(order)``.  A crosser of a chord has exactly one
+    end on each side of it, and the crossers share an endpoint iff their
+    ends on one side are a single vertex.  Each edge is read from its
+    shorter side.  For a chord at positions i < j, a vertex strictly between
+    them has a crosser iff its least neighbor position is below i or its
+    greatest above j, so the ends on that side come from two comparisons per
+    vertex; only when there are two or more are their neighbors read, to
+    count the far ends.  A shorter side that passes over position 0 is read
+    the same way in the order turned by n // 2, where it lies strictly
+    between the chord's ends.  An edge with at most one vertex on its
+    shorter side cannot fail and is skipped before anything is built; each
+    frame (the order with its reach lists) is built on first need.
     """
     n = len(order)
+    h = n // 2
+    # the order, its positions and reach lists, read from position 0 and
+    # turned by h
+    frames: list = [None, None]
     for a, b in edges:
         i, j = pos[a], pos[b]
         if i > j:
             i, j = j, i
-        if 2 * (j - i) <= n:  # from inside the arc i..j to outside it
-            side = order[i + 1 : j]
-            hits = [(x, y) for x in side for y in adj[x] if not i <= pos[y] <= j]
-        else:  # from outside the arc to strictly inside it
-            side = order[j + 1 :] + order[:i]
-            hits = [(x, y) for x in side for y in adj[x] if i < pos[y] < j]
-        if len({x for x, _ in hits}) > 1 and len({y for _, y in hits}) > 1:
-            return False
-        if crossed is not None:
-            crossed.update((x, y) if x < y else (y, x) for x, y in hits)
+        wraps = 2 * (j - i) > n  # the shorter side passes over position 0
+        if (n - (j - i) if wraps else j - i) <= 2:
+            continue
+        if frames[wraps] is None:
+            side = order[n - h :] + order[: n - h] if wraps else order
+            fpos = positions(side) if wraps else pos
+            frames[wraps] = (side, fpos, *_reach(fpos, edges))
+        side, fpos, lo, hi = frames[wraps]
+        if wraps:
+            i, j = fpos[b], fpos[a]
+            if i > j:
+                i, j = j, i
+        near = [p for p in range(i + 1, j) if lo[p] < i or hi[p] > j]
+        if len(near) < 2:
+            continue
+        far = set()
+        for p in near:
+            far.update(q for q in map(fpos.__getitem__, adj[side[p]]) if q < i or q > j)
+            if len(far) > 1:
+                return False
     return True
 
 
@@ -231,17 +273,6 @@ def distinct_drawings(g: Graph, orders) -> tuple[CircularOrder, ...]:
     for order in sorted(orders):
         reps.setdefault(drawing_key(g, order), order)
     return tuple(sorted(reps.values()))
-
-
-def format_order(order: CircularOrder) -> str:
-    return " ".join(str(v) for v in order)
-
-
-def parse_order(text: str) -> CircularOrder:
-    try:
-        return tuple(int(tok) for tok in text.split())
-    except ValueError as exc:
-        raise GraphInputError(f"bad circular order: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -22,22 +22,26 @@ that peel and no tree.  A 3-connected graph is recognized as follows:
   spans one vertex.  Each live order carries its crossing apexes (for each
   crossed edge, the endpoints all its crossers share), and a slot is
   decided from the apexes of the middle vertex's edges alone, in time
-  linear in that vertex's degree.
+  linear in that vertex's degree.  After each step the live orders are
+  counted as drawings on the partial graph: an order joins a class when a
+  rotation or reflection of it, read against the class's representative,
+  maps the graph onto itself.
 
 A single series node is a chordless cycle, maximal only as a triangle.  Any
 other tree is accepted iff its rigid skeletons pass the 3-connected paths
 with their virtual edges on the outer face and the tree satisfies a small
 set of local conditions, including a porosity test at every parallel node.
 
-The other fan checks walk chord arcs with one kernel,
+The other fan checks run one kernel on whole drawings,
 :func:`~outerfan.circular.fan_planar_edges`: the final check of a
 reinsertion's orders, which validates every order independently of the
-apexes, the base case, porosity and the check of assembled SPQR drawings.
-It reads each edge's crossers from the shorter arc of its chord, given the
-order's positions.  The recognizer does not use the exhaustive oracle or
-the reference checker, so the test suite's recognizer-vs-oracle sweep
-compares two independent procedures; embeddings are reported one
-canonical order per distinct drawing.
+apexes, the base case, porosity (on the drawing with the hung vertex) and
+the check of assembled SPQR drawings.  It finds each chord's crossers from
+each vertex's least and greatest neighbor position, on the chord's shorter
+side.  The recognizer does not use the exhaustive oracle or the reference
+checker, so the test suite's recognizer-vs-oracle sweep compares two
+independent procedures; embeddings are reported one canonical order per
+distinct drawing.
 """
 
 from __future__ import annotations
@@ -51,7 +55,6 @@ from .circular import (
     CircularOrder,
     canonicalize,
     distinct_drawings,
-    drawing_key,
     fan_planar_edges,
     positions,
 )
@@ -244,21 +247,6 @@ def _drawable(g: Graph, order: CircularOrder, outer_required) -> bool:
     )
 
 
-def _slot_is_fan_planar(adj, order: CircularOrder, pos, v: int) -> bool:
-    """Fan-planarity of ``order`` for the graph ``adj``, given that ``order``
-    without ``v`` is fan-planar for the graph without ``v``.
-
-    In convex position, inserting v changes no crossing between old edges.
-    Only v's edges and the old edges they cross can gain crossers, so only
-    those are checked.  ``adj`` maps each vertex of ``order`` to its
-    neighbors and ``pos`` is ``positions(order)``.
-    """
-    crossed: set[Edge] = set()
-    return fan_planar_edges(
-        adj, order, pos, [(v, w) for w in adj[v]], crossed
-    ) and fan_planar_edges(adj, order, pos, crossed)
-
-
 # for each crossed edge of a fan-planar drawing, the endpoints that all of its
 # crossers share: both ends of a lone crosser, else one common endpoint
 Apexes = dict[Edge, frozenset[int]]
@@ -345,6 +333,40 @@ def _reinsert_vertex(
     return new_live
 
 
+def _same_drawing(adj, rep: CircularOrder, degs: list[int], order: CircularOrder) -> bool:
+    """Whether ``order`` draws the graph ``adj`` as ``rep`` does, ``degs``
+    being the degrees along ``rep``.
+
+    It does iff some rotation or reflection of ``order``, read position by
+    position against ``rep``, maps the graph onto itself: the degrees must
+    agree along the two sequences, and then every edge must map to an edge.
+    """
+    s = len(rep)
+    twice = degs * 2
+    for seq in (order, order[::-1]):
+        along = [len(adj[x]) for x in seq]
+        for r in range(s):
+            if twice[r : r + s] != along:
+                continue
+            image = dict(zip(seq, rep[r:] + rep[:r]))
+            if all(image[w] in adj[image[u]] for u in adj for w in adj[u]):
+                return True
+    return False
+
+
+def _count_drawings(adj, orders) -> int:
+    """The number of distinct drawings among ``orders`` of the graph ``adj``.
+
+    Each order is compared with one representative of each class found so
+    far, so the cost is at most len(orders) times the class count pair tests.
+    """
+    reps: list[tuple[CircularOrder, list[int]]] = []
+    for order in orders:
+        if not any(_same_drawing(adj, rep, degs, order) for rep, degs in reps):
+            reps.append((order, [len(adj[x]) for x in order]))
+    return len(reps)
+
+
 def _peel_and_reinsert(
     g: Graph, outer_required: frozenset[Edge], raw: _RawResult, peel: Peel | None
 ) -> None:
@@ -418,14 +440,7 @@ def _peel_and_reinsert(
         live = _reinsert_vertex(live, adj, marks, v, rec.neighbors)
         # the branch bound counts distinct drawings; one drawing can be held
         # as several labeled orders when the graph has automorphisms
-        drawings = len(live)
-        if drawings > 1:
-            partial, relabel = dense_graph(
-                adj, [(u, w) for u in adj for w in adj[u] if u < w]
-            )
-            drawings = len({
-                drawing_key(partial, tuple(relabel[x] for x in o)) for o in live
-            })
+        drawings = _count_drawings(adj, live) if len(live) > 1 else len(live)
         raw.max_live = max(raw.max_live, drawings)
         raw.trace.append(
             f"reinsert {v}: {len(live)} live orders, {drawings} drawings"
@@ -529,13 +544,11 @@ def recognize_3connected(
 def _porous_in_drawing(
     skel: Graph, order: CircularOrder, outer_edge: Edge, around: int
 ) -> bool:
-    """Hang a new vertex into ``skel``'s adjacency across ``outer_edge`` and
-    run the slot check on it.
+    """Hang a new vertex into ``skel``'s drawing ``order`` across
+    ``outer_edge`` and check the extended drawing.
 
-    The slot check needs ``order`` to be fan-planar for ``skel``.  Every
-    drawing the recognizer passes in is: each side of a parallel node is a
-    rigid skeleton's drawing, which passed the final check (or is a complete
-    2-hop drawing), or the series triangle.
+    If the extended drawing is fan-planar, so is ``order`` for ``skel``,
+    which it contains.
     """
     pos = positions(order)
     u, v = outer_edge
@@ -554,7 +567,9 @@ def _porous_in_drawing(
     adj[w] = adj[w] | {nv}
     k = pos[v] if (pos[u] + 1) % n == pos[v] else pos[u]
     ext_order = order[:k] + (nv,) + order[k:]
-    return _slot_is_fan_planar(adj, ext_order, positions(ext_order), nv)
+    return fan_planar_edges(
+        adj, ext_order, positions(ext_order), skel.edges | {(w, nv)}
+    )
 
 
 def is_porous(
@@ -571,11 +586,7 @@ def is_porous(
     ``around``.  A drawing that is not fan-planar for ``skel`` never counts.
     """
     e = norm_edge(*outer_edge)
-    return any(
-        _porous_in_drawing(skel, d, e, around)
-        and fan_planar_edges(skel.adj, d, positions(d), skel.edges)
-        for d in drawings
-    )
+    return any(_porous_in_drawing(skel, d, e, around) for d in drawings)
 
 
 # ---------------------------------------------------------------------------

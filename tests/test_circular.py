@@ -15,8 +15,6 @@ from outerfan.circular import (
     crossing_lists,
     drawing_key,
     fan_planar_edges,
-    format_order,
-    parse_order,
     positions,
     render_svg,
 )
@@ -245,11 +243,6 @@ def reference_drawing_key(g, order):
     return best if best is not None else ()
 
 
-class TestOrderText:
-    def test_round_trip(self):
-        assert parse_order(format_order((0, 2, 1))) == (0, 2, 1)
-
-
 class TestSvg:
     def test_k4_geometry(self):
         g = complete_graph(4)
@@ -308,20 +301,60 @@ def test_consecutive_run_matches_brute_force(data):
     assert consecutive_run(positions(order), vs) == brute_consecutive_run(order, vs)
 
 
-def _kernel_agrees(g, order, verdicts):
-    """The kernel on every edge equals the reference verdict; when it holds,
-    the crossers it met are exactly the edges crossed by some edge."""
+def arc_walk_fan_planar_edges(adj, order, pos, edges, crossed=None):
+    """The arc walk that the reach check replaced: whether each of ``edges``
+    is crossed only by edges sharing an endpoint, each edge's crossers
+    listed from the shorter arc of its chord.  Every crosser met is added to
+    ``crossed`` when it is given."""
+    n = len(order)
+    for a, b in edges:
+        i, j = pos[a], pos[b]
+        if i > j:
+            i, j = j, i
+        if 2 * (j - i) <= n:  # from inside the arc i..j to outside it
+            side = order[i + 1 : j]
+            hits = [(x, y) for x in side for y in adj[x] if not i <= pos[y] <= j]
+        else:  # from outside the arc to strictly inside it
+            side = order[j + 1 :] + order[:i]
+            hits = [(x, y) for x in side for y in adj[x] if i < pos[y] < j]
+        if len({x for x, _ in hits}) > 1 and len({y for _, y in hits}) > 1:
+            return False
+        if crossed is not None:
+            crossed.update((x, y) if x < y else (y, x) for x, y in hits)
+    return True
+
+
+def arc_walk_slot_is_fan_planar(adj, order, pos, v):
+    """Fan-planarity of ``order`` for the graph ``adj``, given that ``order``
+    without ``v`` is fan-planar for the graph without ``v``: only v's edges
+    and the old edges they cross are walked."""
     crossed = set()
-    got = fan_planar_edges(g.adj, order, positions(order), g.edges, crossed)
+    return arc_walk_fan_planar_edges(
+        adj, order, pos, [(v, w) for w in adj[v]], crossed
+    ) and arc_walk_fan_planar_edges(adj, order, pos, crossed)
+
+
+def _kernel_agrees(g, order, verdicts):
+    """The kernel and the arc walk on every edge equal the reference
+    verdict; when it holds, the crossers the walk met are exactly the edges
+    crossed by some edge."""
+    pos = positions(order)
+    crossed = set()
+    walked = arc_walk_fan_planar_edges(g.adj, order, pos, g.edges, crossed)
     report = check_outer_fan_planar(g, order)
-    assert got == report.verdict, (g.edge_list(), order)
-    if got:
+    assert walked == report.verdict, (g.edge_list(), order)
+    if walked:
         assert crossed == {f for lst in report.crossings.values() for f in lst}
-    verdicts[got] += 1
+    assert fan_planar_edges(g.adj, order, pos, g.edges) == report.verdict, (
+        g.edge_list(),
+        order,
+    )
+    verdicts[report.verdict] += 1
 
 
 class TestFanKernel:
-    """``fan_planar_edges`` against ``check_outer_fan_planar``."""
+    """``fan_planar_edges`` and the arc walk it replaced against
+    ``check_outer_fan_planar``."""
 
     def test_every_small_graph_on_every_canonical_order(self):
         verdicts = {True: 0, False: 0}
@@ -357,4 +390,127 @@ class TestFanKernel:
                     moved = list(order)
                     moved[i], moved[j] = moved[j], moved[i]
                     _kernel_agrees(g, tuple(moved), verdicts)
+        assert verdicts[True] > 0 and verdicts[False] > 0
+
+
+def _wrapped_ends(report, order):
+    """Whether some edge whose shorter side passes over position 0 has
+    crossers with two or more ends on that side."""
+    pos = positions(order)
+    n = len(order)
+    for (a, b), crossers in report.crossings.items():
+        i, j = sorted((pos[a], pos[b]))
+        if 2 * (j - i) > n:
+            ends = {x if not i < pos[x] < j else y for x, y in crossers}
+            if len(ends) > 1:
+                return True
+    return False
+
+
+def _agrees(g, order):
+    """The kernel's verdict equals the reference's; returns the report."""
+    report = check_outer_fan_planar(g, order)
+    assert fan_planar_edges(g.adj, order, positions(order), g.edges) == report.verdict, (
+        g.edge_list(),
+        order,
+    )
+    return report
+
+
+class TestReachKernel:
+    """Edge cases of ``fan_planar_edges``, each against
+    ``check_outer_fan_planar``."""
+
+    def test_three_vertices_or_fewer(self):
+        for n in range(4):
+            for g in all_graphs(n):
+                for order in permutations(range(n)):
+                    assert _agrees(g, order).verdict
+
+    def test_every_rotation_and_reflection_at_odd_and_even_n(self):
+        # each order is read at every offset, so the shorter side of every
+        # chord passes over position 0 in some of them
+        # on random graphs and orders, and on grown graphs' drawings
+        rng = random.Random(2718)
+        seen = {(parity, verdict): 0 for parity in (0, 1) for verdict in (True, False)}
+        for n in range(4, 13):
+            pairs = list(combinations(range(n), 2))
+            cases = []
+            for _ in range(12):
+                g = build_graph(n, rng.sample(pairs, rng.randint(n, min(3 * n, len(pairs)))))
+                order = list(range(n))
+                rng.shuffle(order)
+                cases.append((g, order))
+            if n >= 6:
+                g = grown_graph(n, rng)
+                cases += [(g, list(order)) for order in recognize(g).embeddings]
+            for g, order in cases:
+                for seq in (order, order[::-1]):
+                    for r in range(n):
+                        turned = tuple(seq[r:] + seq[:r])
+                        report = _agrees(g, turned)
+                        if _wrapped_ends(report, turned):
+                            seen[n % 2, report.verdict] += 1
+        assert min(seen.values()) > 0, seen
+
+    def test_isolated_vertices(self):
+        rng = random.Random(31)
+        verdicts = {True: 0, False: 0}
+        pairs = list(combinations(range(6), 2))
+        graphs = [complete_graph(5), complete_two_hop_graph(6)]
+        graphs += [build_graph(6, rng.sample(pairs, rng.randint(8, 12))) for _ in range(2)]
+        for g in graphs:
+            # the same edges with the last two vertex ids isolated
+            g = build_graph(8, g.edges)
+            for order in candidate_orders(8):
+                verdicts[_agrees(g, order).verdict] += 1
+        assert verdicts[True] > 0 and verdicts[False] > 0
+
+    @pytest.mark.parametrize(
+        "n, edges, expected",
+        [
+            # chord 0-4 read from inside: a fan with three ends inside and its
+            # apex 6 outside, a fan with its apex 2 inside, and a broken one
+            (8, [(0, 4), (1, 6), (2, 6), (3, 6)], True),
+            (8, [(0, 4), (5, 2), (6, 2), (7, 2)], True),
+            (8, [(0, 4), (1, 6), (2, 7)], False),
+            # chord 1-6 read over position 0, from 7 and 0
+            (8, [(1, 6), (7, 3), (0, 3)], True),
+            (8, [(1, 6), (7, 3), (7, 4), (7, 5)], True),
+            (8, [(1, 6), (7, 3), (0, 4)], False),
+            (9, [(1, 7), (8, 3), (0, 3)], True),
+            (9, [(1, 7), (8, 2), (8, 5), (8, 6)], True),
+            (9, [(1, 7), (8, 3), (0, 4)], False),
+            (9, [(0, 4), (1, 6), (2, 6), (3, 6)], True),
+            (9, [(0, 4), (1, 6), (3, 7)], False),
+        ],
+    )
+    def test_fans_from_either_side(self, n, edges, expected):
+        g = build_graph(n, edges)
+        for r in range(n):  # and read at every offset
+            order = tuple((v + r) % n for v in range(n))
+            assert _agrees(g, order).verdict is expected
+
+    def test_grown_drawings_with_every_single_vertex_move(self):
+        # the reference costs about 13 ms per order at n = 100, so from
+        # n = 48 on the moves are held to the arc walk, which the tests above
+        # hold to the reference, and every move the kernel accepts plus
+        # every 100th one to the reference itself
+        rng = random.Random(100)
+        verdicts = {True: 0, False: 0}
+        for n in (8, 16, 24, 48, 100):
+            g = grown_graph(n, rng)
+            order = recognize(g).embeddings[0]
+            moves = set()
+            for v in order:
+                rest = [x for x in order if x != v]
+                moves.update(tuple(rest[:k] + [v] + rest[k:]) for k in range(n))
+            for t, moved in enumerate(sorted(moves)):
+                pos = positions(moved)
+                got = fan_planar_edges(g.adj, moved, pos, g.edges)
+                if n <= 24 or got or t % 100 == 0:
+                    assert got == _agrees(g, moved).verdict
+                else:
+                    assert got == arc_walk_fan_planar_edges(g.adj, moved, pos, g.edges)
+                verdicts[got] += 1
         assert verdicts[True] > 0 and verdicts[False] > 0

@@ -13,6 +13,7 @@ from outerfan.circular import (
     check_outer_fan_planar,
     classify_edge,
     consecutive_run,
+    fan_planar_edges,
     positions,
 )
 from outerfan.errors import StructuralError
@@ -31,7 +32,6 @@ from outerfan.graph import (
 from outerfan.recognizer import (
     Verdict,
     _recognize_3connected_raw,
-    _slot_is_fan_planar,
     is_complete_2hop,
     is_porous,
     recognize,
@@ -44,6 +44,7 @@ from outerfan.sweep import (
     sample_biconnected,
 )
 from test_acceptance import oracle_completion
+from test_circular import arc_walk_fan_planar_edges, arc_walk_slot_is_fan_planar
 from test_spqr import bundle, cycle_plus_chords, piece, two_sum
 
 
@@ -227,12 +228,16 @@ class TestPorosity:
 
     def test_drawing_that_is_not_fan_planar_never_counts(self):
         # (0, 3) is crossed by (1, 4) and (2, 5), which share no endpoint;
-        # the new vertex's edge crosses neither, so the slot check alone
-        # would accept the insertion
+        # the new vertex 7, hung across (5, 6) and joined to 0, crosses
+        # neither, so the arc-walk slot check alone would accept the
+        # insertion, while the whole extended drawing is checked
         g = build_graph(7, [(i, (i + 1) % 7) for i in range(7)] + [(0, 3), (1, 4), (2, 5)])
         d = tuple(range(7))
         assert not check_outer_fan_planar(g, d).verdict
-        assert recognizer._porous_in_drawing(g, d, (5, 6), 6)
+        ext = add_edge(build_graph(8, g.edges), 7, 0)
+        ext_order = (0, 1, 2, 3, 4, 5, 7, 6)
+        assert arc_walk_slot_is_fan_planar(ext.adj, ext_order, positions(ext_order), 7)
+        assert not recognizer._porous_in_drawing(g, d, (5, 6), 6)
         assert not reference_porous_in_drawing(g, d, (5, 6), 6)
         assert not is_porous(g, [d], (5, 6), around=6)
 
@@ -322,7 +327,8 @@ class TestOutcomeSerialization:
 
 
 class TestIncrementalSlotCheck:
-    """The per-slot check of the reinsertion against the reference checker.
+    """The arc-walk slot check and the whole-drawing kernel against the
+    reference checker.
 
     Deleting a vertex from a fan-planar order leaves a fan-planar order of
     the graph without it, which is the incremental check's precondition; the
@@ -335,9 +341,11 @@ class TestIncrementalSlotCheck:
             rest = tuple(x for x in order if x != v)
             for k in range(len(rest)):
                 cand = rest[:k] + (v,) + rest[k:]
+                pos = positions(cand)
                 expected = check_outer_fan_planar(g, cand).verdict
-                got = _slot_is_fan_planar(g.adj, cand, positions(cand), v)
+                got = arc_walk_slot_is_fan_planar(g.adj, cand, pos, v)
                 assert got == expected, (g.edge_list(), cand, v)
+                assert fan_planar_edges(g.adj, cand, pos, g.edges) == expected
                 verdicts[expected] += 1
 
     def test_grown_graphs(self):
@@ -711,8 +719,9 @@ def reference_peel(g, outer_required=frozenset()):
 
 def reference_reinsert(g, outer_required=frozenset()):
     """Peel and reinsert as before the apex step: each slot of each live
-    order is checked by walking chord arcs (``_slot_is_fan_planar``) on the
-    order's positions, against every active mark.  Returns the trace lines,
+    order is checked by walking chord arcs (``arc_walk_slot_is_fan_planar``)
+    on the order's positions, against every active mark, and so is each
+    final order (``arc_walk_fan_planar_edges``).  Returns the trace lines,
     the live orders after each step and the orders that pass the final
     check."""
     lines, records, marks, adj = reference_peel(g, outer_required)
@@ -740,7 +749,7 @@ def reference_reinsert(g, outer_required=frozenset()):
                 if all(
                     (pos[a] - pos[b]) % len(cand) in (1, len(cand) - 1)
                     for a, b in active_marks
-                ) and _slot_is_fan_planar(adj, cand, pos, v):
+                ) and arc_walk_slot_is_fan_planar(adj, cand, pos, v):
                     new_live.add(circular.canonicalize(cand))
         live = sorted(new_live)
         steps.append(live)
@@ -755,7 +764,14 @@ def reference_reinsert(g, outer_required=frozenset()):
         lines.append(f"reinsert {v}: {len(live)} live orders, {drawings} drawings")
         if not live:
             return lines, steps, []
-    return lines, steps, [o for o in live if recognizer._drawable(g, o, outer_required)]
+    final = []
+    for o in live:
+        pos = positions(o)
+        if all(
+            (pos[a] - pos[b]) % len(o) in (1, len(o) - 1) for a, b in outer_required
+        ) and arc_walk_fan_planar_edges(g.adj, o, pos, g.edges):
+            final.append(o)
+    return lines, steps, final
 
 
 def crossing_apexes(report, to_orig):
@@ -826,6 +842,29 @@ def test_reinsertion_matches_the_arc_walk_loop(monkeypatch):
         seen.add(" ".join(raw.reason.split()[:3]) if raw.reason else None)
     assert verdicts[True] > 0 and verdicts[False] > 0
     assert {None, "no feasible slot"} <= seen, seen
+
+
+def test_drawing_count_matches_the_drawing_keys(monkeypatch):
+    """On every reinsertion step of the peel tests' graphs with two or more
+    live orders, the class count equals the number of distinct
+    ``drawing_key``s of the partial graph relabeled to dense ids."""
+    real = recognizer._count_drawings
+    seen = set()
+
+    def checked(adj, orders):
+        got = real(adj, orders)
+        partial, relabel = graph.dense_graph(
+            adj, [(u, w) for u in adj for w in adj[u] if u < w]
+        )
+        keys = {circular.drawing_key(partial, tuple(relabel[x] for x in o)) for o in orders}
+        assert got == len(keys), (sorted(orders), adj)
+        seen.add((len(orders), got))
+        return got
+
+    monkeypatch.setattr(recognizer, "_count_drawings", checked)
+    for g, outer in peel_cases():
+        _recognize_3connected_raw(g, outer)
+    assert {(2, 1), (2, 2), (3, 1)} <= seen, seen
 
 
 def peel_cases():
