@@ -8,6 +8,8 @@ Each line is the median of three runs, in seconds, of one call:
 - ``build_spqr`` and ``recognize`` on ``perfbench/gen.chords_graph`` (the
   n-cycle plus n // 2 random chords, seeded), n = 100, 200, 400;
 - ``recognize(complete_two_hop_graph(1024))``;
+- ``recognize_3connected(complete_two_hop_graph(n))``, the path of
+  ``outerfan recognize --outer-edges``, n = 128, 256, 512;
 - ``recognize`` on ``sweep.grown_graph(n, random.Random(1))``, accepted on
   the peel path, n = 256, 512, 1024.
 
@@ -30,13 +32,14 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import gen  # noqa: E402
 
 from outerfan.graph import build_graph, complete_two_hop_graph  # noqa: E402
-from outerfan.recognizer import recognize  # noqa: E402
+from outerfan.recognizer import recognize, recognize_3connected  # noqa: E402
 from outerfan.spqr import build_spqr, reconstruct, verify_tree  # noqa: E402
 from outerfan.sweep import grown_graph  # noqa: E402
 
 LADDERS = (100, 200, 400, 1000, 5000)
 CHORDS = (100, 200, 400)
 GROWN = (256, 512, 1024)
+TWO_HOP_3CONNECTED = (128, 256, 512)
 RUNS = 3
 
 
@@ -65,6 +68,9 @@ def main() -> int:
         print(f"recognize chords n={n}: {median_seconds(recognize, g):.4f} s", flush=True)
     seconds = median_seconds(recognize, complete_two_hop_graph(1024))
     print(f"recognize complete_two_hop_graph(1024): {seconds:.4f} s", flush=True)
+    for n in TWO_HOP_3CONNECTED:
+        seconds = median_seconds(recognize_3connected, complete_two_hop_graph(n))
+        print(f"recognize_3connected complete_two_hop_graph({n}): {seconds:.4f} s", flush=True)
     for n in GROWN:
         g = grown_graph(n, random.Random(1))
         print(f"recognize grown_graph n={n}: {median_seconds(recognize, g):.4f} s", flush=True)

@@ -20,7 +20,6 @@ from .graph import (
     complete_graph,
     complete_two_hop_graph,
     cycle_graph,
-    degree3_k4_vertices,
     is_biconnected,
     is_triconnected,
     load_graph,
@@ -72,7 +71,6 @@ __all__ = [
     "complete_graph",
     "complete_two_hop_graph",
     "cycle_graph",
-    "degree3_k4_vertices",
     "enumerate_embeddings",
     "generate_instance",
     "is_biconnected",

@@ -1,28 +1,29 @@
 """Simple undirected graphs over dense integer vertex ids.
 
-Graphs are immutable values; derived graphs (vertex deletion, edge addition)
-are new values.  Every connectivity predicate rests on two searches: a
-component search (``_reach``) and an iterative lowpoint depth-first search
-(``_pieces_left``, after Hopcroft and Tarjan, "Efficient algorithms for
-graph manipulation", CACM 1973), which gives, for every vertex at once, the
-number of pieces its deletion leaves of its component.  One lowpoint search
-finds the cut vertices in O(n + m).  The separating-pair search
-(:func:`iter_separation_pairs`) runs one lowpoint search on G - u for each
-vertex u, in increasing order, and reads off every pair (u, v) whose removal
-disconnects G: O(n (n + m)) when no pair separates.  It yields lazily, in
-lexicographic order, so that a caller needing only the first pair stops
-there.  It answers :func:`is_triconnected` and :func:`separation_pairs`,
-and so checks the rigid skeletons of SPQR trees; the trees themselves are
-built by a linear-time pass of their own (:mod:`outerfan.spqr`).  Both
-searches keep an explicit stack, so no input size can exhaust the
-interpreter's recursion limit.
+Graphs are immutable values.  Every connectivity predicate here rests on two
+searches: a component search (``_reach``) and an iterative lowpoint
+depth-first search (``_pieces_left``, after Hopcroft and Tarjan, "Efficient
+algorithms for graph manipulation", CACM 1973), which gives, for every
+vertex at once, the number of pieces its deletion leaves of its component.
+One lowpoint search finds the cut vertices in O(n + m).  The
+separating-pair search (:func:`iter_separation_pairs`) runs one lowpoint
+search on G - u for each vertex u, in increasing order, and reads off every
+pair (u, v) whose removal disconnects G: O(n (n + m)) when no pair
+separates.  It yields lazily, in lexicographic order, so that a caller
+needing only the first pair stops there.  It answers
+:func:`is_triconnected` and :func:`separation_pairs`, which check SPQR trees
+independently of the linear-time pass that builds them
+(:mod:`outerfan.spqr`); that pass decides biconnectivity and
+3-connectivity in its own search, so the recognizer runs no pair search.
+Both searches keep an explicit stack, so no input size can exhaust
+the interpreter's recursion limit.
 
 One elimination (:func:`peel_degree3_k4`) removes degree-3 vertices of
 4-cliques, least first.  A graph on k >= 4 vertices and 3k - 6 edges that
 it reduces to a triangle is a 3-tree, hence 3-connected (K4 is, and joining
-a vertex to a triangle keeps that).  So the elimination is the pair
-search's certificate, which then yields nothing, and the recognizer's
-3-tree test, whose peel it goes on to reinsert.
+a vertex to a triangle keeps that).  :func:`three_tree_peel` states that
+rule once.  It is the pair search's certificate, which then yields nothing,
+and the recognizer's 3-tree test, whose peel it goes on to reinsert.
 
 The on-disk format for graphs is a plain edge list: a header line ``n m``
 followed by ``m`` lines ``u v`` with 0-based ids.  ``#`` starts a comment.
@@ -36,7 +37,7 @@ from itertools import combinations
 from pathlib import Path
 from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
-from .errors import GraphInputError, StructuralError
+from .errors import GraphInputError
 
 Edge = tuple[int, int]
 
@@ -115,18 +116,6 @@ def complete_two_hop_graph(n: int) -> Graph:
     return build_graph(n, edges)
 
 
-def add_edge(g: Graph, u: int, v: int) -> Graph:
-    return build_graph(g.n, list(g.edges) + [(u, v)])
-
-
-def remove_vertex(g: Graph, v: int) -> Graph:
-    """Delete ``v`` and compact the remaining ids, preserving their order."""
-    if not (0 <= v < g.n):
-        raise GraphInputError(f"vertex id out of range: {v}")
-    keep = [w for w in range(g.n) if w != v]
-    return dense_graph(keep, [e for e in g.edges if v not in e])[0]
-
-
 def dense_graph(
     vertices: Iterable[int], edges: Iterable[tuple[int, int]]
 ) -> tuple[Graph, dict[int, int]]:
@@ -140,9 +129,7 @@ def dense_graph(
     return build_graph(len(relabel), [(relabel[a], relabel[b]) for a, b in edges]), relabel
 
 
-def _reach(
-    adj: Mapping[int, Iterable[int]] | Sequence[Iterable[int]], start: int, seen: set[int]
-) -> list[int]:
+def _reach(adj: Sequence[Iterable[int]], start: int, seen: set[int]) -> list[int]:
     """Vertices reachable from ``start`` without entering ``seen``, in visiting
     order; they are added to ``seen``."""
     found = [start]
@@ -153,15 +140,6 @@ def _reach(
                 seen.add(y)
                 found.append(y)
     return found
-
-
-def components(
-    adj: Mapping[int, Iterable[int]], removed: Iterable[int] = ()
-) -> list[set[int]]:
-    """Connected components of the graph ``adj`` (vertex to neighbors) with
-    ``removed`` deleted, ordered by their least vertex."""
-    seen = set(removed)
-    return [set(_reach(adj, x, seen)) for x in sorted(adj) if x not in seen]
 
 
 def _pieces_left(
@@ -221,9 +199,12 @@ def _k4_neighbors(adj, v: int) -> tuple[int, int, int] | None:
     return (a, b, c) if b in adj[a] and c in adj[a] and c in adj[b] else None
 
 
-def peel_degree3_k4(
-    adj: Mapping[int, Iterable[int]],
-) -> tuple[list[tuple[int, tuple[int, int, int]]], dict[int, set[int]]]:
+# what peel_degree3_k4 returns: the removed vertices with their neighbor
+# triples, and the adjacency left
+Peel = tuple[list[tuple[int, tuple[int, int, int]]], dict[int, set[int]]]
+
+
+def peel_degree3_k4(adj: Mapping[int, Iterable[int]]) -> Peel:
     """Remove the least degree-3 vertex of a 4-clique while there is one;
     return the removed vertices in order, each with its neighbor triple, and
     the adjacency of what is left.  A removal changes only its neighbors'
@@ -245,14 +226,24 @@ def peel_degree3_k4(
     return steps, left
 
 
+def three_tree_peel(adj: Mapping[int, Collection[int]]) -> tuple[Peel | None, bool]:
+    """The elimination of the graph ``adj`` (vertex to neighbors) if it has
+    k >= 4 vertices and 3k - 6 edges, None for any other graph; and whether
+    the elimination leaves a triangle, that is, whether the graph is a
+    3-tree and so 3-connected."""
+    k = len(adj)
+    if k < 4 or sum(map(len, adj.values())) != 2 * (3 * k - 6):
+        return None, False
+    peel = peel_degree3_k4(adj)
+    return peel, len(peel[1]) == 3
+
+
 def iter_separation_pairs(adj: Mapping[int, Collection[int]]) -> Iterator[tuple[int, int]]:
     """Lazily yield, in lexicographic order, every vertex pair whose removal
     disconnects the graph ``adj`` (vertex to neighbors) on at least three
     vertices.  A 3-tree yields nothing without a search."""
-    k = len(adj)
-    if k >= 4 and sum(map(len, adj.values())) == 2 * (3 * k - 6):
-        if len(peel_degree3_k4(adj)[1]) == 3:
-            return
+    if three_tree_peel(adj)[1]:
+        return
     vs = sorted(adj)
     index = {v: i for i, v in enumerate(vs)}
     nbrs = [[index[w] for w in adj[v]] for v in vs]
@@ -314,25 +305,6 @@ def is_triconnected(g: Graph) -> bool:
     if not is_biconnected(g):
         return False
     return next(iter_separation_pairs(dict(enumerate(g.adj))), None) is None
-
-
-def degree3_k4_vertices(g: Graph) -> list[tuple[int, tuple[int, int, int]]]:
-    """Vertices of degree 3 whose three neighbors are pairwise adjacent.
-
-    Returned sorted by vertex id, each with its sorted neighbor triple.
-    """
-    return [(v, t) for v in range(g.n) if (t := _k4_neighbors(g.adj, v))]
-
-
-def require_biconnected(g: Graph) -> None:
-    """Raise StructuralError naming a cut vertex or disconnection."""
-    if g.n < 3:
-        raise StructuralError(f"graph has {g.n} < 3 vertices")
-    connected, cuts = _connectivity(g)
-    if not connected:
-        raise StructuralError("graph is not connected")
-    if cuts:
-        raise StructuralError(f"graph has a cut vertex: {cuts[0]}")
 
 
 # ---------------------------------------------------------------------------

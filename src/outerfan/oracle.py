@@ -28,9 +28,9 @@ edge, disjoint from h, crosses too.
 
 Up to n = 10 (181,440 orders) the table is built once per n over every
 canonical order and every row; at n = 10 that is 630 rows of 22,680 bytes,
-about 14 MB.  Above n = 10, and for given order lists, each chunk of
-orders gets a table of the rows the graph's own 3-matchings use, and
-maximality builds one more over the chunk's valid orders only.  The test
+about 14 MB.  Above n = 10 each chunk of orders gets a table of the rows
+the graph's own 3-matchings use, and maximality builds one more over the
+chunk's valid orders only.  The test
 suite checks the kernel against the readable checker in
 :mod:`outerfan.circular`, and maximality against one full scan per
 non-edge.
@@ -240,23 +240,23 @@ def _compact(*rows: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
 _Chunks = Iterator[tuple[np.ndarray, np.ndarray, Callable[[], bool]]]
 
 
-def _valid_chunks(g: Graph, orders: Iterable[CircularOrder] | None = None) -> _Chunks:
-    """The one scan: per chunk of orders, the canonical ones in lexicographic
-    sequence unless ``orders`` are given, the int8 order rows, the bits of
-    those drawing g outer-fan-planar, and a test whether one of those stays
-    so with a non-edge added."""
+def _valid_chunks(g: Graph) -> _Chunks:
+    """The one scan: per chunk of the canonical orders in lexicographic
+    sequence, the int8 order rows, the bits of those drawing g
+    outer-fan-planar, and a test whether one of those stays so with a
+    non-edge added."""
     lay = _layout(g.n)
     edge = _edge_bits(g, lay)
     own = edge[lay.x] & edge[lay.y] & edge[lay.z]
     r1, r2 = lay.r1[own], lay.r2[own]
     extension = cache(partial(_extension, lay, edge))
-    if orders is None and factorial(max(g.n - 1, 1)) // 2 <= _STORED_ORDERS:
+    if factorial(max(g.n - 1, 1)) // 2 <= _STORED_ORDERS:
         for rows, table in _stored_chunks(g.n):
             valid = _drop_crossed(table, r1, r2, _full(len(rows)))
             yield rows, valid, partial(_extendable_in, table, valid, extension)
         return
     used, (r1, r2) = _compact(r1, r2)
-    for rows in _order_chunks(candidate_orders(g.n) if orders is None else orders, g.n):
+    for rows in _order_chunks(candidate_orders(g.n), g.n):
         valid = _drop_crossed(_crossings(rows, used), r1, r2, _full(len(rows)))
         yield rows, valid, partial(_extendable_among, rows, valid, extension)
 
@@ -311,14 +311,6 @@ def enumerate_embeddings(g: Graph, max_n: int = DEFAULT_MAX_N) -> tuple[Circular
     graph automorphism relabels into each other are the same unlabeled
     drawing, represented by its lexicographically least canonical order."""
     return distinct_drawings(g, enumerate_embeddings_raw(g, max_n))
-
-
-def is_maximal_given(g: Graph, orders: Iterable[CircularOrder]) -> bool:
-    """Maximality of g among the given orders of its n vertices: some order
-    draws g outer-fan-planar, and none of those stays so with a non-edge
-    added.  Given g's valid canonical orders, as
-    :func:`enumerate_embeddings_raw` lists them, this is g's maximality."""
-    return _maximal(_valid_chunks(g, orders))
 
 
 def is_maximal_outer_fan_planar(g: Graph, max_n: int = DEFAULT_MAX_N) -> bool:

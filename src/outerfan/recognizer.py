@@ -1,11 +1,14 @@
 """Decision procedure for maximal outer-fan-planarity.
 
 :func:`recognize` rejects graphs that are not biconnected, builds the SPQR
-tree once and dispatches on it.  A single rigid node is a 3-connected graph
-(:func:`recognize_3connected` takes one with prescribed outer edges).  A
-graph with 3n - 6 edges is peeled first: if the peel leaves a triangle, the
-graph is a 3-tree, hence 3-connected, and goes to the peel path below with
-that peel and no tree.  A 3-connected graph is recognized as follows:
+tree once and dispatches on it.  A single rigid node is a 3-connected graph.
+A graph with 3n - 6 edges is peeled first
+(:func:`~outerfan.graph.three_tree_peel`): if the peel leaves a triangle,
+the graph is a 3-tree, hence 3-connected, and goes to the peel path below
+with that peel and no tree.  :func:`recognize_3connected` takes a
+3-connected graph with prescribed outer edges and checks its input through
+the same door: a 3-tree by its peel, any other graph by its SPQR tree.  A
+3-connected graph is recognized as follows:
 
 * complete 2-hop graphs (the cycle plus all 2-hop chords) are detected by a
   seeded greedy reconstruction of the boundary cycle and are always maximal;
@@ -62,16 +65,13 @@ from .errors import StructuralError
 from .graph import (
     Edge,
     Graph,
+    Peel,
     dense_graph,
     is_biconnected,
-    is_triconnected,
     norm_edge,
     peel_degree3_k4,
+    three_tree_peel,
 )
-
-# what peel_degree3_k4 returns: the removed vertices with their neighbor
-# triples, and the adjacency left
-Peel = tuple[list[tuple[int, tuple[int, int, int]]], dict[int, set[int]]]
 
 
 class Verdict(Enum):
@@ -135,10 +135,12 @@ class CompleteTwoHop:
 
 @dataclass
 class _RawResult:
-    accepted: bool
+    """What a 3-connected recognition found: a rejection until an accepting
+    path sets ``verdict`` to ACCEPTED with its ``orders``."""
+
+    verdict: Verdict = Verdict.REJECTED_STRUCTURE
     orders: list[CircularOrder] = field(default_factory=list)
     reason: str | None = None
-    verdict: Verdict = Verdict.ACCEPTED
     trace: list[str] = field(default_factory=list)
     path: str = "none"
     max_live: int = 0
@@ -146,7 +148,7 @@ class _RawResult:
 
 
 def _finish(g: Graph, raw: _RawResult) -> RecognitionOutcome:
-    if raw.accepted:
+    if raw.verdict is Verdict.ACCEPTED:
         return RecognitionOutcome(
             Verdict.ACCEPTED,
             None,
@@ -397,7 +399,6 @@ def _peel_and_reinsert(
             e for e in marks_at[v] if e[0] in present and e[1] in present
         ]
         if len(tris_with_v) >= 3 or len(marked_edges_at_v) >= 3:
-            raw.accepted = False
             raw.verdict = Verdict.REJECTED_STRUCTURE
             raw.reason = (
                 f"vertex {v} is confined by three marked triangles or edges"
@@ -421,7 +422,6 @@ def _peel_and_reinsert(
         raw.trace.append(f"peel {v} neighbors {nbrs} marked {newly_marked}")
 
     if len(adj) != 3 or any(len(adj[v]) != 2 for v in adj):
-        raw.accepted = False
         raw.verdict = Verdict.REJECTED_STRUCTURE
         raw.reason = f"peeling stuck with {len(adj)} vertices, not a triangle"
         raw.trace.append(raw.reason)
@@ -446,18 +446,16 @@ def _peel_and_reinsert(
             f"reinsert {v}: {len(live)} live orders, {drawings} drawings"
         )
         if not live:
-            raw.accepted = False
             raw.verdict = Verdict.REJECTED_NO_EMBEDDING
             raw.reason = f"no feasible slot when reinserting {v}"
             return
 
     final = [o for o in sorted(live) if _drawable(g, o, outer_required)]
     if not final:
-        raw.accepted = False
         raw.verdict = Verdict.REJECTED_NO_EMBEDDING
         raw.reason = "no reinsertion order survives final validation"
         return
-    raw.accepted = True
+    raw.verdict = Verdict.ACCEPTED
     raw.orders = final
 
 
@@ -465,12 +463,13 @@ def _recognize_3connected_raw(
     g: Graph, outer_required: frozenset[Edge], peel: Peel | None = None
 ) -> _RawResult:
     """Full drawing set (not deduplicated) for a 3-connected graph: a rigid
-    SPQR node, an input :func:`recognize_3connected` has checked, or a
-    3-tree given with its ``peel``."""
+    SPQR node or an input :func:`recognize` or :func:`recognize_3connected`
+    has checked, with g's :func:`~outerfan.graph.peel_degree3_k4` as
+    ``peel`` if the caller has it."""
     bad = [e for e in outer_required if e not in g.edges]
     if bad:
         raise StructuralError(f"required outer edges not in graph: {bad}")
-    raw = _RawResult(accepted=False)
+    raw = _RawResult()
     n = g.n
 
     if n in (4, 5):
@@ -493,7 +492,7 @@ def _recognize_3connected_raw(
             raw.verdict = Verdict.REJECTED_NO_EMBEDDING
             raw.reason = "maximal, but no drawing places the required edges outside"
             return raw
-        raw.accepted = True
+        raw.verdict = Verdict.ACCEPTED
         raw.orders = orders
         return raw
 
@@ -511,7 +510,7 @@ def _recognize_3connected_raw(
             raw.verdict = Verdict.REJECTED_NO_EMBEDDING
             raw.reason = "2-hop drawings exist but none keeps the required edges outside"
             return raw
-        raw.accepted = True
+        raw.verdict = Verdict.ACCEPTED
         raw.orders = orders
         return raw
 
@@ -529,11 +528,11 @@ def recognize_3connected(
     with every edge of ``outer_required`` on the outer face; the embeddings
     are all such drawings.
     """
-    if not is_triconnected(g):
+    peel, three_tree = three_tree_peel(dict(enumerate(g.adj)))
+    if not (three_tree or (is_biconnected(g) and spqr.build_spqr(g).triconnected)):
         raise StructuralError("input graph is not 3-connected")
     req = frozenset(norm_edge(u, v) for u, v in outer_required)
-    raw = _recognize_3connected_raw(g, req)
-    return _finish(g, raw)
+    return _finish(g, _recognize_3connected_raw(g, req, peel))
 
 
 # ---------------------------------------------------------------------------
@@ -778,11 +777,9 @@ def recognize(g: Graph) -> RecognitionOutcome:
         return RecognitionOutcome(
             Verdict.REJECTED_NOT_BICONNECTED, "graph is not biconnected", (), ()
         )
-    peel = None
-    if g.n >= 4 and g.m == 3 * g.n - 6:
-        peel = peel_degree3_k4(dict(enumerate(g.adj)))
-        if len(peel[1]) == 3:  # a 3-tree: its tree would be one R node
-            return _finish(g, _recognize_3connected_raw(g, frozenset(), peel))
+    peel, three_tree = three_tree_peel(dict(enumerate(g.adj)))
+    if three_tree:  # its tree would be one R node
+        return _finish(g, _recognize_3connected_raw(g, frozenset(), peel))
     return _recognize_from_tree(g, spqr.build_spqr(g), peel)
 
 
@@ -840,7 +837,7 @@ def _recognize_from_tree(
         res = _recognize_3connected_raw(view.graph, view.virtual_edges)
         max_live = max(max_live, res.max_live)
         two_hop_candidates = max(two_hop_candidates, res.two_hop_candidates)
-        if not res.accepted:
+        if res.verdict is not Verdict.ACCEPTED:
             trace.extend(res.trace)
             return reject(
                 Verdict.REJECTED_STRUCTURE,

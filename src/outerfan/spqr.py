@@ -9,14 +9,19 @@ implementation of SPQR-trees", GD 2000: a palm-tree search with lowpoints,
 a bucket sort of the arcs, a renumbering search, and one path search that
 cuts a component off at every separation pair it meets and closes both
 sides with a virtual edge.  Each component is a bond, a triangle or
-3-connected.  The merge pass contracts series-series and parallel-parallel
-links with one union-find pass, which gives the classical unique
-decomposition into series (cycle), parallel (edge bundle) and rigid
-(3-connected) nodes.  The numbering pass orders nodes and tree edges
-canonically and builds each node once, so the tree does not depend on the
-order in which the split met its components; it sorts each skeleton's
-edges once, and a parallel node's a second time by tree edge id.  A
-2 x 5000 ladder builds in under a second on a 2-core virtual machine.
+3-connected.  The palm-tree search also checks the builder's precondition:
+a graph that is not biconnected raises StructuralError there, naming its
+least cut vertex, so no separate connectivity search runs first, and a
+graph is 3-connected exactly when its tree is one rigid node
+(:attr:`SpqrTree.triconnected`).  The merge pass contracts series-series
+and parallel-parallel links with one union-find pass, which gives the
+classical unique decomposition into series (cycle), parallel (edge
+bundle) and rigid (3-connected) nodes.  The numbering pass orders nodes
+and tree edges canonically and builds each node once, so the tree does not
+depend on the order in which the split met its components; it sorts each
+skeleton's edges once, and a parallel node's a second time by tree edge
+id.  A 2 x 5000 ladder builds in under a second on a 2-core virtual
+machine.
 
 :func:`verify_tree` checks a tree against its graph without the split: its
 rigid skeletons go to :func:`outerfan.graph.is_triconnected`, whose
@@ -44,7 +49,6 @@ from .graph import (
     dense_graph,
     is_triconnected,
     norm_edge,
-    require_biconnected,
 )
 
 
@@ -145,8 +149,17 @@ def _palm_tree(g: Graph) -> _PalmTree:
     by phi, and a second search in that order that renumbers the vertices
     (a vertex before its descendants, a later child's subtree before an
     earlier one's), marks the arcs that start a path and lists the fronds
-    entering each vertex."""
+    entering each vertex.
+
+    The first search also decides that g is biconnected, and raises
+    StructuralError if it is not: for fewer than three vertices, for a
+    search that misses a vertex, or naming the least cut vertex, which is
+    the root if it has a second child, and otherwise a vertex p with a
+    child w whose lowpt1 is not below p's number."""
     n = g.n
+    if n < 3:
+        raise StructuralError(f"graph has {n} < 3 vertices")
+    cuts: list[int] = []
     num = [0] * n
     low1 = [0] * n
     low2 = [0] * n
@@ -191,6 +204,14 @@ def _palm_tree(g: Graph) -> _PalmTree:
                 else:
                     low2[p] = min(low2[p], low1[v])
                 nd[p] += nd[v]
+                if low1[v] >= num[p] and p:
+                    cuts.append(p)
+    if count < n:
+        raise StructuralError("graph is not connected")
+    if father.count(0) > 1:
+        cuts.append(0)
+    if cuts:
+        raise StructuralError(f"graph has a cut vertex: {min(cuts)}")
 
     m = len(src)
     buckets: list[list[int]] = [[] for _ in range(3 * n + 3)]
@@ -549,8 +570,8 @@ def _merge_same_kind(
 
 
 def build_spqr(g: Graph) -> SpqrTree:
-    """Unique SPQR tree of a biconnected graph, deterministic node order."""
-    require_biconnected(g)
+    """Unique SPQR tree of a biconnected graph, deterministic node order;
+    StructuralError if g is not biconnected (see :func:`_palm_tree`)."""
     skeletons, links = _split(g)
     return _number(_merge_same_kind(skeletons), links)
 

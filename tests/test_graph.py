@@ -8,12 +8,11 @@ from hypothesis import strategies as st
 
 from outerfan.errors import GraphInputError
 from outerfan.graph import (
+    _k4_neighbors,
     build_graph,
     complete_graph,
-    components,
     cut_vertices,
     cycle_graph,
-    degree3_k4_vertices,
     dense_graph,
     format_edge_list,
     is_biconnected,
@@ -22,9 +21,25 @@ from outerfan.graph import (
     iter_separation_pairs,
     parse_edge_list,
     path_graph,
-    remove_vertex,
     separation_pairs,
 )
+from test_spqr import components
+
+
+def add_edge(g, u, v):
+    return build_graph(g.n, [*g.edges, (u, v)])
+
+
+def remove_vertex(g, v):
+    """Delete ``v`` and compact the remaining ids, preserving their order."""
+    return dense_graph([w for w in range(g.n) if w != v], [e for e in g.edges if v not in e])[0]
+
+
+def degree3_k4_vertices(g):
+    """Vertices of degree 3 whose three neighbors are pairwise adjacent, by
+    id, each with its sorted neighbor triple: the peel's candidates, found
+    with its own test."""
+    return [(v, t) for v in range(g.n) if (t := _k4_neighbors(g.adj, v))]
 
 
 def to_nx(g):

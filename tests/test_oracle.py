@@ -10,7 +10,6 @@ from outerfan import oracle
 from outerfan.circular import EdgeClass, check_outer_fan_planar, chords_cross, classify_edge
 from outerfan.errors import SizeLimitError
 from outerfan.graph import (
-    add_edge,
     build_graph,
     complete_graph,
     complete_two_hop_graph,
@@ -19,6 +18,7 @@ from outerfan.graph import (
     path_graph,
 )
 from outerfan.sweep import all_biconnected_graphs, grown_graph, sample_biconnected
+from test_graph import add_edge
 
 
 class TestFirstOrder:
@@ -128,11 +128,16 @@ def test_density_bound_on_accepted():
 def kernel_verdicts(g, orders=None):
     """The one kernel's verdict per order, as (order, verdict) pairs: on the
     stored table when ``orders`` is None, on per-chunk tables built for
-    ``orders`` otherwise."""
+    ``orders`` otherwise, which the scan takes for the canonical orders on
+    the path it runs above the stored sizes."""
     got = []
-    for rows, valid, _ in oracle._valid_chunks(g, orders):
-        bits = np.unpackbits(valid.view(np.uint8), count=len(rows)).astype(bool)
-        got += zip(map(tuple, rows.tolist()), bits.tolist())
+    with pytest.MonkeyPatch.context() as patch:
+        if orders is not None:
+            patch.setattr(oracle, "_STORED_ORDERS", 0)
+            patch.setattr(oracle, "candidate_orders", lambda n: iter(orders))
+        for rows, valid, _ in oracle._valid_chunks(g):
+            bits = np.unpackbits(valid.view(np.uint8), count=len(rows)).astype(bool)
+            got += zip(map(tuple, rows.tolist()), bits.tolist())
     return got
 
 
@@ -223,7 +228,6 @@ def test_maximality_shortcut_matches_full_scans():
     def check(g):
         maximal = oracle.is_maximal_outer_fan_planar(g)
         assert maximal == maximal_by_full_scans(g), g.edge_list()
-        assert oracle.is_maximal_given(g, oracle.enumerate_embeddings_raw(g)) == maximal
         return maximal
 
     for n in range(3, 7):
@@ -248,7 +252,10 @@ def test_results_do_not_depend_on_chunk_size(monkeypatch):
         (2, 3), (2, 5), (2, 6), (3, 4), (3, 5), (4, 5), (5, 6),
     ])
     orders = oracle.enumerate_embeddings_raw(saturated_first)
-    assert oracle.is_maximal_given(saturated_first, orders[:1])
+    assert all(
+        not check_outer_fan_planar(add_edge(saturated_first, u, v), orders[0]).verdict
+        for u, v in saturated_first.non_edges()
+    )
     rng = random.Random(79)
     graphs = [sample_biconnected(n, rng) for n in (5, 6, 7) for _ in range(15)]
     graphs += [grown_graph(n, rng) for n in (6, 7) for _ in range(3)]
@@ -260,13 +267,12 @@ def test_results_do_not_depend_on_chunk_size(monkeypatch):
                 oracle.outer_fan_planar_order(g),
                 oracle.enumerate_embeddings_raw(g),
                 oracle.is_maximal_outer_fan_planar(g),
-                oracle.is_maximal_given(g, oracle.enumerate_embeddings_raw(g)),
             )
             for g in graphs
         ]
 
     expected = results()
-    assert expected[-1][2:] == (False, False)
+    assert expected[-1][2] is False
     assert {r[2] for r in expected} == {True, False}
     monkeypatch.setattr(oracle, "_CHUNK", 1)
     oracle._stored_chunks.cache_clear()

@@ -18,16 +18,13 @@ from outerfan.circular import (
 )
 from outerfan.errors import StructuralError
 from outerfan.graph import (
-    add_edge,
     build_graph,
     complete_graph,
     complete_two_hop_graph,
     cycle_graph,
-    degree3_k4_vertices,
     is_triconnected,
     norm_edge,
     path_graph,
-    remove_vertex,
 )
 from outerfan.recognizer import (
     Verdict,
@@ -45,6 +42,7 @@ from outerfan.sweep import (
 )
 from test_acceptance import oracle_completion
 from test_circular import arc_walk_fan_planar_edges, arc_walk_slot_is_fan_planar
+from test_graph import add_edge, degree3_k4_vertices, remove_vertex
 from test_spqr import bundle, cycle_plus_chords, piece, two_sum
 
 
@@ -501,9 +499,11 @@ def test_recognize_builds_one_tree_and_tests_no_triconnectivity(monkeypatch):
         return real_peel(adj)
 
     monkeypatch.setattr(spqr, "build_spqr", counting_build)
-    monkeypatch.setattr(recognizer, "peel_degree3_k4", counting_peel)
-    for module in (graph, spqr, recognizer):
+    for module in (graph, recognizer):
+        monkeypatch.setattr(module, "peel_degree3_k4", counting_peel)
+    for module in (graph, spqr):
         monkeypatch.setattr(module, "is_triconnected", counting_tri)
+    assert not hasattr(recognizer, "is_triconnected")
 
     rng = random.Random(44)
     inputs = [complete_graph(4), complete_graph(5), complete_two_hop_graph(8)]
@@ -515,14 +515,15 @@ def test_recognize_builds_one_tree_and_tests_no_triconnectivity(monkeypatch):
     for g in inputs:
         calls.update(build_spqr=0, is_triconnected=0, peel=0)
         out = recognize(g)
+        made = dict(calls)  # the reference checks below peel too
         three_tree = (
             g.n >= 4 and g.m == 3 * g.n - 6 and len(real_peel(dict(enumerate(g.adj)))[1]) == 3
         )
         three_trees += three_tree
-        assert calls["build_spqr"] == (0 if three_tree else 1), g.edge_list()
-        assert calls["is_triconnected"] == 0, g.edge_list()
+        assert made["build_spqr"] == (0 if three_tree else 1), g.edge_list()
+        assert made["is_triconnected"] == 0, g.edge_list()
         if g.n >= 4 and g.m == 3 * g.n - 6 and real_tri(g):
-            assert calls["peel"] == 1, g.edge_list()
+            assert made["peel"] == 1, g.edge_list()
         if out.accepted and real_tri(g):
             seen_accepted_3connected += 1
             assert out.path in {"base", "two_hop", "peel"}
@@ -533,6 +534,63 @@ def test_recognize_builds_one_tree_and_tests_no_triconnectivity(monkeypatch):
     calls.update(build_spqr=0, is_triconnected=0, peel=0)
     recognize(path_graph(5))
     assert calls == {"build_spqr": 0, "is_triconnected": 0, "peel": 0}
+
+
+def test_connectivity_is_decided_once(monkeypatch):
+    """A tree-path input costs ``recognize`` one lowpoint search, its
+    biconnectivity gate: the SPQR build checks its own precondition.
+    ``recognize_3connected`` decides its gate as ``is_triconnected`` does
+    without calling it, and peels at most once."""
+    real_pieces, real_tri = graph._pieces_left, graph.is_triconnected
+    real_peel = graph.peel_degree3_k4
+    calls = {"pieces": 0, "is_triconnected": 0, "peel": 0}
+
+    def counting(name, real):
+        def counted(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return counted
+
+    monkeypatch.setattr(graph, "_pieces_left", counting("pieces", real_pieces))
+    for module in (graph, spqr):
+        monkeypatch.setattr(module, "is_triconnected", counting("is_triconnected", real_tri))
+    for module in (graph, recognizer):
+        monkeypatch.setattr(module, "peel_degree3_k4", counting("peel", real_peel))
+
+    rng = random.Random(16)
+    biconnected = [cycle_graph(6), icosahedron(), complete_two_hop_graph(9)]
+    biconnected += [cycle_plus_chords(n, rng) for n in (8, 12, 30)]
+    biconnected += [sample_biconnected(n, rng) for n in (5, 6, 7, 8) for _ in range(5)]
+    tree_path = [  # not 3-trees
+        g for g in biconnected
+        if g.m != 3 * g.n - 6 or len(real_peel(dict(enumerate(g.adj)))[1]) != 3
+    ]
+    assert len(tree_path) >= 20
+    for g in tree_path:
+        calls["pieces"] = 0
+        recognize(g)
+        assert calls["pieces"] == 1, g.edge_list()
+
+    wheel = build_graph(7, [(0, i) for i in range(1, 7)] + [(i, i % 6 + 1) for i in range(1, 7)])
+    inputs = biconnected + [wheel, remark6_graph(), complete_graph(4), complete_graph(5)]
+    inputs += [path_graph(4)]
+    inputs += [grown_graph(n, rng) for n in (6, 9, 16)] + [cycle_graph(3), build_graph(2, [])]
+    raised = 0
+    for g in inputs:
+        expected = real_tri(g)
+        calls.update(is_triconnected=0, peel=0)
+        try:
+            recognize_3connected(g)
+        except StructuralError as exc:
+            assert str(exc) == "input graph is not 3-connected"
+            assert not expected, g.edge_list()
+            raised += 1
+        else:
+            assert expected, g.edge_list()
+        assert calls["is_triconnected"] == 0, g.edge_list()
+        assert calls["peel"] <= 1, g.edge_list()
+    assert 10 <= raised <= len(inputs) - 10
 
 
 def test_recognize_dispatches_as_the_tree_path():

@@ -5,18 +5,21 @@ import re
 import sys
 from itertools import chain, combinations
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from outerfan import spqr
+from outerfan import graph, spqr
 from outerfan.errors import StructuralError
 from outerfan.graph import (
     build_graph,
     complete_graph,
-    components,
+    cut_vertices,
     cycle_graph,
     is_biconnected,
+    is_connected,
+    is_triconnected,
     iter_separation_pairs,
     norm_edge,
 )
@@ -36,6 +39,25 @@ from outerfan.spqr import (
     verify_tree,
 )
 from outerfan.sweep import grown_graph
+
+
+def components(adj, removed=()):
+    """Connected components of the graph ``adj`` (vertex to neighbors) with
+    ``removed`` deleted, ordered by their least vertex."""
+    seen = set(removed)
+    found = []
+    for x in sorted(adj):
+        if x in seen:
+            continue
+        seen.add(x)
+        comp = [x]
+        for y in comp:
+            for z in adj[y]:
+                if z not in seen:
+                    seen.add(z)
+                    comp.append(z)
+        found.append(set(comp))
+    return found
 
 
 def node_views(t):
@@ -108,6 +130,98 @@ class TestBuild:
         g = build_graph(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)])
         with pytest.raises(StructuralError, match="cut vertex: 2"):
             build_spqr(g)
+
+
+def require_biconnected(g):
+    """Reference for the builder's precondition, decided by separate
+    searches: StructuralError for fewer than three vertices, then for a
+    disconnection, then naming the least cut vertex."""
+    if g.n < 3:
+        raise StructuralError(f"graph has {g.n} < 3 vertices")
+    if not is_connected(g):
+        raise StructuralError("graph is not connected")
+    cuts = cut_vertices(g)
+    if cuts:
+        raise StructuralError(f"graph has a cut vertex: {cuts[0]}")
+
+
+def relabeled(n, edges, rng, keep=()):
+    """The graph of ``edges`` with its ids shuffled, those in ``keep`` fixed."""
+    free = [v for v in range(n) if v not in keep]
+    perm = dict(zip(free, rng.sample(free, len(free))))
+    perm.update((v, v) for v in keep)
+    return build_graph(n, [(perm[u], perm[v]) for u, v in edges])
+
+
+def precondition_cases(rng, rounds=400):
+    """Seeded graphs on 0..9 vertices: random graphs of every density,
+    trees, two blocks sharing vertex 0 (the root of the builder's search,
+    then its only cut vertex), and a block with a pendant path beside a
+    second component."""
+    cases = []
+    for _ in range(rounds):
+        n = rng.randint(0, 9)
+        pairs = list(combinations(range(n), 2))
+        cases.append(build_graph(n, rng.sample(pairs, rng.randint(0, len(pairs)))))
+        cases.append(relabeled(n, [(rng.randrange(v), v) for v in range(1, n)], rng))
+        if n >= 5:
+            a = rng.randint(2, n - 3)  # blocks on 0..a and on 0, a+1..n-1
+            edges = [(i, i + 1) for i in range(a)] + [(a, 0), (0, a + 1), (n - 1, 0)]
+            edges += [(i, i + 1) for i in range(a + 1, n - 1)]
+            edges += rng.sample(pairs, rng.randint(0, 2))
+            g = relabeled(n, edges, rng, keep=(0,))
+            cases.append(g)
+        if n >= 5:
+            k = rng.randint(3, n - 2)  # a k-cycle with a pendant path, and the rest
+            edges = [(i, (i + 1) % k) for i in range(k)] + [(k - 1, k)]
+            edges += [(i, i + 1) for i in range(k + 1, n - 1)]
+            cases.append(relabeled(n, edges, rng))
+    return cases
+
+
+def no_search(*args):
+    raise AssertionError("a separate lowpoint search ran")
+
+
+def test_build_checks_its_precondition_in_its_own_search(monkeypatch):
+    """``build_spqr`` raises what the separate search raises, in the same
+    priority order, without running that search."""
+    cases = precondition_cases(random.Random(1601))
+    expected = []
+    for g in cases:
+        try:
+            require_biconnected(g)
+            expected.append(None)
+        except StructuralError as exc:
+            expected.append(str(exc))
+    monkeypatch.setattr(graph, "_pieces_left", no_search)
+    got = []
+    for g in cases:
+        try:
+            build_spqr(g)
+            got.append(None)
+        except StructuralError as exc:
+            got.append(str(exc))
+    assert got == expected
+    kinds = {m if m is None else re.sub(r"\d+", "#", m) for m in expected}
+    assert kinds == {
+        None, "graph has # < # vertices", "graph is not connected", "graph has a cut vertex: #"
+    }
+    assert "graph has a cut vertex: 0" in expected
+    assert expected.count(None) >= 100
+
+
+def test_a_single_rigid_node_means_3_connected(monkeypatch):
+    """The tree is one rigid node exactly when the separating-pair search
+    finds G 3-connected, and the build decides it without a lowpoint search
+    of :mod:`outerfan.graph`: on every biconnected graph with at most seven
+    vertices, up to isomorphism, and on random ones below."""
+    graphs = [build_graph(h.number_of_nodes(), h.edges()) for h in nx.graph_atlas_g()]
+    graphs = [g for g in graphs if is_biconnected(g)]
+    expected = [is_triconnected(g) for g in graphs]
+    assert (expected.count(True), expected.count(False)) == (157, 381)
+    monkeypatch.setattr(graph, "_pieces_left", no_search)
+    assert [build_spqr(g).triconnected for g in graphs] == expected
 
 
 class TestReconstruct:
@@ -492,6 +606,15 @@ def biconnected_graphs(draw, max_n=12):
 @given(biconnected_graphs())
 def test_builder_matches_the_reference_on_any_small_graph(g):
     assert tree_to_json(build_spqr(g)) == tree_to_json(reference_tree(g))
+
+
+@settings(max_examples=200, deadline=None)
+@given(biconnected_graphs(max_n=9))
+def test_a_single_rigid_node_means_3_connected_on_any_small_graph(g):
+    expected = is_triconnected(g)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(graph, "_pieces_left", no_search)
+        assert build_spqr(g).triconnected == expected
 
 
 def ladder(k):
