@@ -11,7 +11,12 @@ Each line is the median of three runs, in seconds, of one call:
 - ``recognize_3connected(complete_two_hop_graph(n))``, the path of
   ``outerfan recognize --outer-edges``, n = 128, 256, 512;
 - ``recognize`` on ``sweep.grown_graph(n, random.Random(1))``, accepted on
-  the peel path, n = 256, 512, 1024.
+  the peel path, n = 256, 512, 1024;
+- ``recognize`` on ``graph.glued_chain`` of k copies of
+  ``complete_two_hop_graph(7)``, each glued at its edge (0, 1) onto edge
+  (3, 4) of the copy before, k = 100, 400, 1000, and of k = 400 copies of
+  ``complete_two_hop_graph(6)`` glued onto edge (2, 3): SPQR paths of
+  rigid nodes joined by parallel nodes, accepted after the assembly.
 
 A last line runs ``verify_tree`` and ``reconstruct`` once on the largest
 ladder's tree.  Run it from the repository root:
@@ -31,7 +36,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
 import gen  # noqa: E402
 
-from outerfan.graph import build_graph, complete_two_hop_graph  # noqa: E402
+from outerfan.graph import build_graph, complete_two_hop_graph, glued_chain  # noqa: E402
 from outerfan.recognizer import recognize, recognize_3connected  # noqa: E402
 from outerfan.spqr import build_spqr, reconstruct, verify_tree  # noqa: E402
 from outerfan.sweep import grown_graph  # noqa: E402
@@ -40,6 +45,8 @@ LADDERS = (100, 200, 400, 1000, 5000)
 CHORDS = (100, 200, 400)
 GROWN = (256, 512, 1024)
 TWO_HOP_3CONNECTED = (128, 256, 512)
+# (piece size, copies, the edge each next copy's (0, 1) is glued onto)
+CHAINS = ((7, 100, (3, 4)), (7, 400, (3, 4)), (7, 1000, (3, 4)), (6, 400, (2, 3)))
 RUNS = 3
 
 
@@ -74,6 +81,11 @@ def main() -> int:
     for n in GROWN:
         g = grown_graph(n, random.Random(1))
         print(f"recognize grown_graph n={n}: {median_seconds(recognize, g):.4f} s", flush=True)
+    for size, k, at in CHAINS:
+        g = glued_chain(complete_two_hop_graph(size), k, at)
+        seconds = median_seconds(recognize, g)
+        print(f"recognize complete_two_hop_graph({size}) chain k={k} at {at}, n={g.n}: "
+              f"{seconds:.4f} s", flush=True)
     g = ladder(LADDERS[-1])
     t = build_spqr(g)
     t0 = time.perf_counter()

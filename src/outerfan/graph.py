@@ -116,6 +116,22 @@ def complete_two_hop_graph(n: int) -> Graph:
     return build_graph(n, edges)
 
 
+def glued_chain(piece: Graph, k: int, at: Edge = (3, 4)) -> Graph:
+    """k copies of ``piece`` in a chain: edge (0, 1) of each copy after the
+    first is identified with edge ``at`` of the copy before it, 0 with
+    ``at[0]`` and 1 with ``at[1]``; the other vertices of each copy take the
+    next free ids.  The glued edges stay, so the SPQR tree is a path of k
+    rigid nodes joined by k - 1 parallel nodes, each with one real edge."""
+    label = list(range(piece.n))
+    edges = set(piece.edges)
+    n = piece.n
+    for _ in range(k - 1):
+        label = [label[at[0]], label[at[1]], *range(n, n + piece.n - 2)]
+        n += piece.n - 2
+        edges |= {norm_edge(label[u], label[v]) for u, v in piece.edges}
+    return build_graph(n, edges)
+
+
 def dense_graph(
     vertices: Iterable[int], edges: Iterable[tuple[int, int]]
 ) -> tuple[Graph, dict[int, int]]:

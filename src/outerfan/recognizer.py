@@ -34,6 +34,16 @@ A single series node is a chordless cycle, maximal only as a triangle.  Any
 other tree is accepted iff its rigid skeletons pass the 3-connected paths
 with their virtual edges on the outer face and the tree satisfies a small
 set of local conditions, including a porosity test at every parallel node.
+Those conditions leave a tree whose rigid and series nodes (series ones
+triangles) meet only at parallel nodes of three edges, one of them real, so
+each parallel node joins two pieces at its poles.  The drawings are then
+assembled in one flat walk over that tree of pieces: listed outward from
+the least-id piece, then spliced from the last piece back, each splicing
+its children's s-t sequences into its own s-t gaps.  No function of this
+module recurses, so deep trees need no recursion limit.
+
+Every path fills a ``_RawResult``; :func:`_finish` alone turns one into a
+:class:`RecognitionOutcome`, keeping one order per distinct drawing.
 
 The other fan checks run one kernel on whole drawings,
 :func:`~outerfan.circular.fan_planar_edges`: the final check of a
@@ -135,8 +145,9 @@ class CompleteTwoHop:
 
 @dataclass
 class _RawResult:
-    """What a 3-connected recognition found: a rejection until an accepting
-    path sets ``verdict`` to ACCEPTED with its ``orders``."""
+    """What a recognition found: a rejection until an accepting path sets
+    ``verdict`` to ACCEPTED with its ``orders``.  :func:`_finish` turns it
+    into the one :class:`RecognitionOutcome` every entry point returns."""
 
     verdict: Verdict = Verdict.REJECTED_STRUCTURE
     orders: list[CircularOrder] = field(default_factory=list)
@@ -148,20 +159,12 @@ class _RawResult:
 
 
 def _finish(g: Graph, raw: _RawResult) -> RecognitionOutcome:
-    if raw.verdict is Verdict.ACCEPTED:
-        return RecognitionOutcome(
-            Verdict.ACCEPTED,
-            None,
-            distinct_drawings(g, raw.orders),
-            tuple(raw.trace),
-            raw.path,
-            raw.max_live,
-            raw.two_hop_candidates,
-        )
+    """The outcome of ``raw``, with one order per distinct drawing; only an
+    accepting path sets orders."""
     return RecognitionOutcome(
         raw.verdict,
         raw.reason,
-        (),
+        distinct_drawings(g, raw.orders),
         tuple(raw.trace),
         raw.path,
         raw.max_live,
@@ -671,112 +674,63 @@ def _p_node_violation(g1: _SkelView, g2: _SkelView, s_t: Edge) -> str | None:
 def _assemble(
     views: dict[int, _SkelView], tree_adj: dict[int, list[tuple[int, Edge]]]
 ) -> list[CircularOrder]:
-    """Merge skeleton drawings at virtual edges into drawings of the graph.
+    """Merge skeleton drawings at parallel nodes into drawings of the graph.
 
-    Each subtree hanging off a virtual edge {s, t} contributes linear
-    sequences of its interior vertices, read from s to t; the parent splices
-    them into its own gap between s and t, in both orientations.
+    Once the tree-shape checks have passed, the rigid and series nodes (the
+    pieces) meet only at parallel nodes, and each parallel node joins two
+    pieces at its poles {s, t}.  The pieces are listed outward from the
+    least-id one, each with the poles it shares with its parent.  Then, from
+    the last piece back, each piece reads its drawings from s round to t,
+    splices its children's interior sequences into its gaps between their
+    poles, in the orientation that fits, and passes its own interiors (the
+    spliced sequences without s and t) up.  The first piece's spliced
+    drawings are the graph's.
+
+    Every pole pair of a piece is adjacent in each of its drawings: a rigid
+    skeleton is recognized with its virtual edges required outer, and a
+    series node is a triangle.  Splicing into one gap never separates
+    another pole pair, because a simple skeleton has at most one edge per
+    pair.  So every child finds its gap, and s and t stay at the ends.
     """
-
-    def node_drawings(nid: int) -> list[CircularOrder]:
-        # a rigid or series node; a series node is a triangle by now
-        view = views[nid]
-        if view.kind == "R":
-            return [view.orig_order(d) for d in view.drawings]
-        return [tuple(sorted(view.to_orig))]
-
-    def splice(
-        base: CircularOrder, nid: int, parent: int | None
-    ) -> list[CircularOrder]:
-        out = [list(base)]
-        for child, poles in sorted(tree_adj[nid]):
-            if parent is not None and child == parent:
-                continue
-            if views[child].kind == "Q":
-                continue
-            interiors = subtree_interiors(child, nid, poles)
-            if not interiors:
-                return []
-            next_out = []
-            for seq in out:
-                n_seq = len(seq)
-                spots = [
-                    i
-                    for i in range(n_seq)
-                    if {seq[i], seq[(i + 1) % n_seq]} == set(poles)
-                ]
-                if not spots:
-                    continue
-                # a simple skeleton has each pole pair adjacent at most once
-                spot = spots[0]
-                a = seq[spot]
-                for interior in interiors:
-                    ins = list(interior) if a == poles[0] else list(reversed(interior))
-                    next_out.append(seq[: spot + 1] + ins + seq[spot + 1 :])
-            out = next_out
-            if not out:
-                return []
-        return [tuple(o) for o in out]
-
-    def subtree_interiors(nid: int, parent: int, poles: Edge) -> list[tuple[int, ...]]:
-        """Interior sequences from poles[0] to poles[1] for the subtree."""
-        view = views[nid]
-        result: set[tuple[int, ...]] = set()
-        if view.kind == "P":
-            inner = [
-                (child, p)
-                for child, p in tree_adj[nid]
-                if child != parent and views[child].kind != "Q"
-            ]
-            if len(inner) != 1:
-                return []
-            child, child_poles = inner[0]
-            for interior in subtree_interiors(child, nid, child_poles):
-                result.add(interior)
-            return sorted(result)
-        for d in node_drawings(nid):
-            for oriented in (d, tuple(reversed(d))):
-                k = len(oriented)
-                idx = oriented.index(poles[0])
-                rot = oriented[idx:] + oriented[:idx]
-                if rot[-1] != poles[1]:
-                    continue
-                for full in splice(rot, nid, parent):
-                    if full.index(poles[0]) != 0:
-                        raise StructuralError(
-                            f"splice moved pole {poles[0]} off the front of {full}"
-                        )
-                    if full[-1] != poles[1]:
-                        continue
-                    result.add(tuple(full[1:-1]))
-        return sorted(result)
-
-    root = min(views)
-    results: set[CircularOrder] = set()
-    view = views[root]
-    if view.kind == "P":
-        inner = [(child, p) for child, p in tree_adj[root] if views[child].kind != "Q"]
-        if len(inner) != 2:
-            return []
-        (c1, p1), (c2, p2) = inner
-        s, t = p1
-        for i1 in subtree_interiors(c1, root, p1):
-            for i2 in subtree_interiors(c2, root, (t, s)):
-                results.add(canonicalize((s, *i1, t, *i2)))
-    else:
-        for d in node_drawings(root):
-            for full in splice(d, root, None):
-                results.add(canonicalize(full))
-    return sorted(results)
+    root = min(nid for nid, view in views.items() if view.kind in ("R", "S"))
+    # the pieces outward from the root, each with the poles to its parent
+    walk: list[tuple[int, Edge | None]] = [(root, None)]
+    children: dict[int, list[tuple[int, Edge]]] = {root: []}
+    for nid, _ in walk:
+        for p_node, poles in tree_adj[nid]:
+            for child, _ in tree_adj[p_node]:
+                if child not in children and views[child].kind != "Q":
+                    children[nid].append((child, poles))
+                    children[child] = []
+                    walk.append((child, poles))
+    # each piece's interior sequences, read from the lesser pole to the greater
+    interiors: dict[int, set[tuple[int, ...]]] = {}
+    for nid, poles in reversed(walk):
+        seqs = [views[nid].orig_order(d) for d in views[nid].drawings]
+        if poles is not None:
+            s, t = poles
+            seqs = [d[d.index(s) :] + d[: d.index(s)] for d in seqs]
+            seqs = [d if d[-1] == t else (s, *d[:0:-1]) for d in seqs]
+        for child, (a, b) in children[nid]:
+            spliced = []
+            for seq in seqs:
+                i = seq.index(a)
+                if seq[i - 1] == b:
+                    spliced += [seq[:i] + ins[::-1] + seq[i:] for ins in interiors[child]]
+                else:
+                    spliced += [seq[: i + 1] + ins + seq[i + 1 :] for ins in interiors[child]]
+            seqs = spliced
+        if poles is not None:
+            interiors[nid] = {seq[1:-1] for seq in seqs}
+    return sorted({canonicalize(seq) for seq in seqs})
 
 
 def recognize(g: Graph) -> RecognitionOutcome:
     """Entry point: the verdict and every drawing, decided from the SPQR
     tree (graphs that are not biconnected are never maximal)."""
     if not is_biconnected(g):
-        return RecognitionOutcome(
-            Verdict.REJECTED_NOT_BICONNECTED, "graph is not biconnected", (), ()
-        )
+        raw = _RawResult(Verdict.REJECTED_NOT_BICONNECTED, reason="graph is not biconnected")
+        return _finish(g, raw)
     peel, three_tree = three_tree_peel(dict(enumerate(g.adj)))
     if three_tree:  # its tree would be one R node
         return _finish(g, _recognize_3connected_raw(g, frozenset(), peel))
@@ -787,7 +741,12 @@ def _recognize_from_tree(
     g: Graph, tree: spqr.SpqrTree, peel: Peel | None = None
 ) -> RecognitionOutcome:
     """:func:`recognize` for a biconnected g, given its SPQR tree and, if the
-    caller has it, g's :func:`~outerfan.graph.peel_degree3_k4`.
+    caller has it, g's :func:`~outerfan.graph.peel_degree3_k4`."""
+    return _finish(g, _tree_raw(g, tree, peel))
+
+
+def _tree_raw(g: Graph, tree: spqr.SpqrTree, peel: Peel | None) -> _RawResult:
+    """What :func:`_recognize_from_tree` found, for :func:`_finish` to build.
 
     A node's skeleton view (its skeleton relabeled to a dense graph) is
     built only when a check reads it: a rigid node's in the rigid-skeleton
@@ -797,26 +756,16 @@ def _recognize_from_tree(
     porosity checks and the assembly.  A graph rejected at a rigid skeleton
     thus builds the views of that node and the rigid nodes before it."""
     if tree.triconnected:
-        return _finish(g, _recognize_3connected_raw(g, frozenset(), peel))
-    trace: list[str] = [f"spqr tree with {len(tree.nodes)} nodes"]
-    max_live = 0
-    two_hop_candidates = 0
-
-    def reject(verdict: Verdict, reason: str, path: str = "spqr") -> RecognitionOutcome:
-        return RecognitionOutcome(
-            verdict, reason, (), tuple(trace), path, max_live, two_hop_candidates
-        )
-
+        return _recognize_3connected_raw(g, frozenset(), peel)
+    raw = _RawResult(path="spqr", trace=[f"spqr tree with {len(tree.nodes)} nodes"])
     if len(tree.nodes) == 1:  # a single series node: a chordless cycle
+        raw.path = "cycle"
         if g.n == 3:
-            return RecognitionOutcome(
-                Verdict.ACCEPTED, None, ((0, 1, 2),), tuple(trace), "cycle"
-            )
-        return reject(
-            Verdict.REJECTED_STRUCTURE,
-            "chordless cycle admits chord insertions",
-            path="cycle",
-        )
+            raw.verdict = Verdict.ACCEPTED
+            raw.orders = [(0, 1, 2)]
+        else:
+            raw.reason = "chordless cycle admits chord insertions"
+        return raw
 
     views: dict[int, _SkelView] = {}
     kinds = {n.id: n.kind for n in tree.nodes}
@@ -835,40 +784,32 @@ def _recognize_from_tree(
         nid = node.id
         view = views[nid] = _skeleton_view(node)
         res = _recognize_3connected_raw(view.graph, view.virtual_edges)
-        max_live = max(max_live, res.max_live)
-        two_hop_candidates = max(two_hop_candidates, res.two_hop_candidates)
+        raw.max_live = max(raw.max_live, res.max_live)
+        raw.two_hop_candidates = max(raw.two_hop_candidates, res.two_hop_candidates)
         if res.verdict is not Verdict.ACCEPTED:
-            trace.extend(res.trace)
-            return reject(
-                Verdict.REJECTED_STRUCTURE,
-                f"rigid skeleton at node {nid}: {res.reason}",
-            )
+            raw.trace.extend(res.trace)
+            raw.reason = f"rigid skeleton at node {nid}: {res.reason}"
+            return raw
         view.drawings = res.orders
-        trace.append(f"node {nid}: rigid skeleton with {len(res.orders)} drawings")
+        raw.trace.append(f"node {nid}: rigid skeleton with {len(res.orders)} drawings")
 
     for te in tree.tree_edges:
         kx, ky = kinds[te.x], kinds[te.y]
         if {kx, ky} == {"R"} or {kx, ky} == {"R", "S"}:
-            return reject(
-                Verdict.REJECTED_STRUCTURE,
-                f"rigid node adjacent to {'rigid' if kx == ky else 'series'} node",
-            )
+            raw.reason = f"rigid node adjacent to {'rigid' if kx == ky else 'series'} node"
+            return raw
 
     for node in tree.nodes:
         if node.kind == "S" and len(node.edges) != 3:
-            return reject(
-                Verdict.REJECTED_STRUCTURE,
-                f"series node {node.id} is a cycle of length {len(node.edges)}",
-            )
+            raw.reason = f"series node {node.id} is a cycle of length {len(node.edges)}"
+            return raw
 
     for node in tree.nodes:
         if node.kind != "P":
             continue
         if len(node.edges) != 3 or all(kinds[y] != "Q" for y, _ in tree_adj[node.id]):
-            return reject(
-                Verdict.REJECTED_STRUCTURE,
-                f"parallel node {node.id} needs exactly three edges, one real",
-            )
+            raw.reason = f"parallel node {node.id} needs exactly three edges, one real"
+            return raw
 
     for node in tree.nodes:
         if node.kind != "R":
@@ -879,39 +820,21 @@ def _recognize_from_tree(
     for node in tree.nodes:
         if node.kind != "P":
             continue
-        sides = [(views[y], poles) for y, poles in tree_adj[node.id] if kinds[y] != "Q"]
-        if len(sides) != 2:
-            return reject(
-                Verdict.REJECTED_STRUCTURE,
-                f"parallel node {node.id} has {len(sides)} non-edge neighbors",
-            )
-        (v1, poles1), (v2, poles2) = sides
-        if poles1 != poles2:
-            raise StructuralError(
-                f"parallel node {node.id} has sides on poles {poles1} and {poles2}"
-            )
-        reason = _p_node_violation(v1, v2, poles1)
+        # its two virtual edges join two pieces on its own pole pair
+        (v1, poles), (v2, _) = [
+            (views[y], poles) for y, poles in tree_adj[node.id] if kinds[y] != "Q"
+        ]
+        reason = _p_node_violation(v1, v2, poles)
         if reason is not None:
-            return reject(
-                Verdict.REJECTED_STRUCTURE,
-                f"parallel node {node.id}: edge addable across poles ({reason})",
-            )
+            raw.reason = f"parallel node {node.id}: edge addable across poles ({reason})"
+            return raw
 
-    orders = _assemble(views, tree_adj)
-    orders = [o for o in orders if _drawable(g, o, ())]
+    orders = [o for o in _assemble(views, tree_adj) if _drawable(g, o, ())]
     if not orders:
-        return reject(
-            Verdict.REJECTED_NO_EMBEDDING,
-            "conditions hold but no merged drawing validates",
-        )
-    trace.append(f"assembled {len(orders)} drawings")
-    return RecognitionOutcome(
-        Verdict.ACCEPTED,
-        None,
-        distinct_drawings(g, orders),
-        tuple(trace),
-        "spqr",
-        max_live,
-        two_hop_candidates,
-    )
-
+        raw.verdict = Verdict.REJECTED_NO_EMBEDDING
+        raw.reason = "conditions hold but no merged drawing validates"
+        return raw
+    raw.trace.append(f"assembled {len(orders)} drawings")
+    raw.verdict = Verdict.ACCEPTED
+    raw.orders = orders
+    return raw

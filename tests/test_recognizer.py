@@ -1,4 +1,5 @@
 import ast
+import json
 import random
 import re
 from itertools import combinations
@@ -8,8 +9,10 @@ import networkx as nx
 import pytest
 
 from outerfan import circular, graph, oracle, recognizer, spqr, sweep
+from outerfan.cli import main
 from outerfan.circular import (
     EdgeClass,
+    canonicalize,
     check_outer_fan_planar,
     classify_edge,
     consecutive_run,
@@ -22,6 +25,8 @@ from outerfan.graph import (
     complete_graph,
     complete_two_hop_graph,
     cycle_graph,
+    format_edge_list,
+    glued_chain,
     is_triconnected,
     norm_edge,
     path_graph,
@@ -994,3 +999,186 @@ def test_porosity_matches_the_reference_check(monkeypatch):
         assert got == expected == is_porous(skel, [order], edge, around)
         verdicts[expected] += 1
     assert verdicts[True] > 0 and verdicts[False] > 0
+
+
+def reference_assemble(views, tree_adj):
+    """The recursive assembly that the flat walk replaced: each subtree
+    hanging off a virtual edge {s, t} contributes linear sequences of its
+    interior vertices, read from s to t, and the parent splices them into
+    its own gap between s and t, in both orientations.  The root is the
+    least node id, a parallel node included."""
+
+    def node_drawings(nid):
+        view = views[nid]
+        if view.kind == "R":
+            return [view.orig_order(d) for d in view.drawings]
+        return [tuple(sorted(view.to_orig))]
+
+    def splice(base, nid, parent):
+        out = [list(base)]
+        for child, poles in sorted(tree_adj[nid]):
+            if parent is not None and child == parent:
+                continue
+            if views[child].kind == "Q":
+                continue
+            interiors = subtree_interiors(child, nid, poles)
+            if not interiors:
+                return []
+            next_out = []
+            for seq in out:
+                n_seq = len(seq)
+                spots = [
+                    i for i in range(n_seq) if {seq[i], seq[(i + 1) % n_seq]} == set(poles)
+                ]
+                if not spots:
+                    continue
+                spot = spots[0]
+                a = seq[spot]
+                for interior in interiors:
+                    ins = list(interior) if a == poles[0] else list(reversed(interior))
+                    next_out.append(seq[: spot + 1] + ins + seq[spot + 1 :])
+            out = next_out
+            if not out:
+                return []
+        return [tuple(o) for o in out]
+
+    def subtree_interiors(nid, parent, poles):
+        view = views[nid]
+        result = set()
+        if view.kind == "P":
+            inner = [
+                (child, p)
+                for child, p in tree_adj[nid]
+                if child != parent and views[child].kind != "Q"
+            ]
+            if len(inner) != 1:
+                return []
+            child, child_poles = inner[0]
+            result.update(subtree_interiors(child, nid, child_poles))
+            return sorted(result)
+        for d in node_drawings(nid):
+            for oriented in (d, tuple(reversed(d))):
+                idx = oriented.index(poles[0])
+                rot = oriented[idx:] + oriented[:idx]
+                if rot[-1] != poles[1]:
+                    continue
+                for full in splice(rot, nid, parent):
+                    if full.index(poles[0]) != 0:
+                        raise StructuralError(f"splice moved pole {poles[0]} off the front")
+                    if full[-1] != poles[1]:
+                        continue
+                    result.add(tuple(full[1:-1]))
+        return sorted(result)
+
+    root = min(views)
+    results = set()
+    if views[root].kind == "P":
+        inner = [(child, p) for child, p in tree_adj[root] if views[child].kind != "Q"]
+        if len(inner) != 2:
+            return []
+        (c1, p1), (c2, _) = inner
+        s, t = p1
+        for i1 in subtree_interiors(c1, root, p1):
+            for i2 in subtree_interiors(c2, root, (t, s)):
+                results.add(canonicalize((s, *i1, t, *i2)))
+    else:
+        for d in node_drawings(root):
+            for full in splice(d, root, None):
+                results.add(canonicalize(full))
+    return sorted(results)
+
+
+def glue_on_outer_edges(g, first_g, h, first_h, rng):
+    """g and h with an outer edge of h's drawing ``first_h`` identified with
+    one of g's drawing ``first_g``, and h's other vertices numbered after
+    g's."""
+    i, j = rng.randrange(g.n), rng.randrange(h.n)
+    a, b = first_g[i - 1], first_g[i]
+    c, d = first_h[j - 1], first_h[j]
+    rest = iter(range(g.n, g.n + h.n - 2))
+    glue = {x: {c: a, d: b}[x] if x in (c, d) else next(rest) for x in range(h.n)}
+    edges = set(g.edges) | {norm_edge(glue[u], glue[v]) for u, v in h.edges}
+    return build_graph(g.n + h.n - 2, edges)
+
+
+def test_assembly_matches_the_recursive_reference(monkeypatch):
+    """The flat walk gives the recursive assembly's orders on every call
+    that recognition makes, on seeded chains of up to 8 pieces, each glue on
+    outer edges of the chain's and the piece's first drawings, and on
+    2-sums of random pieces.  The calls include ones whose least node is a
+    parallel node, where the reference takes its own branch."""
+    real = recognizer._assemble
+    roots = {"P": 0, "R": 0, "S": 0}
+
+    def checked(views, tree_adj):
+        got = real(views, tree_adj)
+        assert got == reference_assemble(views, tree_adj)
+        roots[views[min(views)].kind] += 1
+        return got
+
+    monkeypatch.setattr(recognizer, "_assemble", checked)
+    rng = random.Random(1809)
+    pieces = [complete_graph(4)] + [complete_two_hop_graph(n) for n in (5, 6, 7)]
+    for _ in range(60):
+        g = rng.choice(pieces)
+        first = recognize(g).embeddings[0]
+        for _ in range(rng.randint(1, 7)):
+            h = rng.choice(pieces) if rng.random() < 0.7 else grown_graph(rng.randint(6, 8), rng)
+            glued = glue_on_outer_edges(g, first, h, recognize(h).embeddings[0], rng)
+            out = recognize(glued)
+            if out.accepted:
+                g, first = glued, out.embeddings[0]
+    for _ in range(200):
+        recognize(two_sum(piece(rng), piece(rng), rng))
+    assert roots["P"] >= 10 and roots["R"] >= 10, roots
+
+
+class TestGluedChains:
+    """Chains of complete 2-hop graphs glued on edges (``graph.glued_chain``):
+    SPQR paths of rigid nodes joined by parallel nodes, which the assembly
+    walks without recursing however long the path is."""
+
+    def test_two_piece_chains_match_the_oracle(self):
+        for part in (complete_graph(5), complete_two_hop_graph(6)):
+            g = glued_chain(part, 2, at=(2, 3))
+            assert oracle.is_maximal_outer_fan_planar(g)
+            expected = oracle.enumerate_embeddings(g)
+            assert len(expected) == 1
+            assert recognize(g).embeddings == expected
+
+    def test_deep_chain_in_the_library_and_the_cli(self, tmp_path, capsys):
+        g = glued_chain(complete_two_hop_graph(7), 400)
+        assert (g.n, g.m) == (2002, 5201)
+        out = recognize(g)
+        assert out.accepted and len(out.embeddings) == 1
+        assert out.trace[-1] == "assembled 1 drawings"
+        path = tmp_path / "chain.txt"
+        path.write_text(format_edge_list(g))
+        assert main(["recognize", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["verdict"] == "accepted"
+
+
+def test_recognizer_does_not_recurse():
+    """No function of the recognizer refers to itself, directly or through
+    other functions of the module, and the assembly nests no function, so
+    the depth of the SPQR tree never meets the recursion limit."""
+    tree = ast.parse(Path(recognizer.__file__).read_text())
+    defs = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+    names = {node.name for node in defs}
+    refers: dict[str, set[str]] = {name: set() for name in names}
+    for node in defs:
+        refers[node.name] |= {
+            sub.id for sub in ast.walk(node) if isinstance(sub, ast.Name) and sub.id in names
+        }
+    for name in names:
+        reached, todo = set(), list(refers[name])
+        while todo:
+            x = todo.pop()
+            if x not in reached:
+                reached.add(x)
+                todo.extend(refers[x])
+        assert name not in reached, name
+    (assemble,) = [node for node in tree.body if getattr(node, "name", "") == "_assemble"]
+    assert not [
+        sub for sub in ast.walk(assemble) if isinstance(sub, (ast.FunctionDef, ast.Lambda))
+    ][1:]
