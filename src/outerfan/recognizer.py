@@ -1,14 +1,15 @@
 """Decision procedure for maximal outer-fan-planarity.
 
-:func:`recognize` rejects graphs that are not biconnected, builds the SPQR
-tree once and dispatches on it.  A single rigid node is a 3-connected graph.
-A graph with 3n - 6 edges is peeled first
-(:func:`~outerfan.graph.three_tree_peel`): if the peel leaves a triangle,
-the graph is a 3-tree, hence 3-connected, and goes to the peel path below
-with that peel and no tree.  :func:`recognize_3connected` takes a
-3-connected graph with prescribed outer edges and checks its input through
-the same door: a 3-tree by its peel, any other graph by its SPQR tree.  A
-3-connected graph is recognized as follows:
+:func:`recognize` builds the SPQR tree once and dispatches on it; the
+builder decides biconnectivity, and a graph that is not biconnected is
+rejected from its :class:`~outerfan.errors.NotBiconnectedError`.  A single
+rigid node is a 3-connected graph.  A graph with 3n - 6 edges is peeled
+first (:func:`~outerfan.graph.three_tree_peel`): if the peel leaves a
+triangle, the graph is a 3-tree, hence 3-connected, and goes to the peel
+path below with that peel and no tree.  :func:`recognize_3connected` takes
+a 3-connected graph with prescribed outer edges and checks its input
+through the same door: a 3-tree by its peel, any other graph by its SPQR
+tree.  A 3-connected graph is recognized as follows:
 
 * complete 2-hop graphs (the cycle plus all 2-hop chords) are detected by a
   seeded greedy reconstruction of the boundary cycle and are always maximal;
@@ -71,13 +72,12 @@ from .circular import (
     fan_planar_edges,
     positions,
 )
-from .errors import StructuralError
+from .errors import NotBiconnectedError, StructuralError
 from .graph import (
     Edge,
     Graph,
     Peel,
-    dense_graph,
-    is_biconnected,
+    build_graph,
     norm_edge,
     peel_degree3_k4,
     three_tree_peel,
@@ -532,7 +532,11 @@ def recognize_3connected(
     are all such drawings.
     """
     peel, three_tree = three_tree_peel(dict(enumerate(g.adj)))
-    if not (three_tree or (is_biconnected(g) and spqr.build_spqr(g).triconnected)):
+    try:
+        triconnected = three_tree or spqr.build_spqr(g).triconnected
+    except NotBiconnectedError:
+        triconnected = False
+    if not triconnected:
         raise StructuralError("input graph is not 3-connected")
     req = frozenset(norm_edge(u, v) for u, v in outer_required)
     return _finish(g, _recognize_3connected_raw(g, req, peel))
@@ -610,14 +614,18 @@ class _SkelView:
 
 
 def _skeleton_view(node: spqr.SpqrNode) -> _SkelView:
-    graph, relabel = dense_graph(node.vertices, [e.pair() for e in node.edges])
-
-    def dense(kind: str) -> frozenset[Edge]:
-        return frozenset(
-            norm_edge(relabel[e.u], relabel[e.v]) for e in node.edges if e.kind == kind
-        )
-
-    return _SkelView(node.kind, graph, list(relabel), dense("virtual"), dense("real"))
+    """The node's skeleton on dense ids, in the order of its sorted vertices;
+    the builder gives every skeleton edge u < v, and so does the relabeling."""
+    relabel = {x: i for i, x in enumerate(node.vertices)}
+    edges: list[Edge] = []
+    virtual: set[Edge] = set()
+    real: set[Edge] = set()
+    for e in node.edges:
+        uv = (relabel[e.u], relabel[e.v])
+        edges.append(uv)
+        (virtual if e.kind == "virtual" else real).add(uv)
+    graph = build_graph(len(relabel), edges)
+    return _SkelView(node.kind, graph, list(node.vertices), frozenset(virtual), frozenset(real))
 
 
 def _p_node_violation(g1: _SkelView, g2: _SkelView, s_t: Edge) -> str | None:
@@ -727,14 +735,18 @@ def _assemble(
 
 def recognize(g: Graph) -> RecognitionOutcome:
     """Entry point: the verdict and every drawing, decided from the SPQR
-    tree (graphs that are not biconnected are never maximal)."""
-    if not is_biconnected(g):
-        raw = _RawResult(Verdict.REJECTED_NOT_BICONNECTED, reason="graph is not biconnected")
-        return _finish(g, raw)
+    tree (graphs that are not biconnected are never maximal).  A 3-tree is
+    3-connected and needs no tree; for any other graph the builder decides
+    biconnectivity in its own first search."""
     peel, three_tree = three_tree_peel(dict(enumerate(g.adj)))
     if three_tree:  # its tree would be one R node
         return _finish(g, _recognize_3connected_raw(g, frozenset(), peel))
-    return _recognize_from_tree(g, spqr.build_spqr(g), peel)
+    try:
+        tree = spqr.build_spqr(g)
+    except NotBiconnectedError:
+        raw = _RawResult(Verdict.REJECTED_NOT_BICONNECTED, reason="graph is not biconnected")
+        return _finish(g, raw)
+    return _recognize_from_tree(g, tree, peel)
 
 
 def _recognize_from_tree(

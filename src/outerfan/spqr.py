@@ -1,6 +1,6 @@
 """SPQR-tree decomposition of biconnected graphs.
 
-The tree is built in three flat passes, none of which recurses, so trees
+The tree is built in two flat passes, neither of which recurses, so trees
 thousands of nodes deep build at the default recursion limit.  The split
 pass cuts the graph into its split components in linear time, after
 Hopcroft and Tarjan, "Dividing a graph into triconnected components", SIAM
@@ -10,18 +10,21 @@ a bucket sort of the arcs, a renumbering search, and one path search that
 cuts a component off at every separation pair it meets and closes both
 sides with a virtual edge.  Each component is a bond, a triangle or
 3-connected.  The palm-tree search also checks the builder's precondition:
-a graph that is not biconnected raises StructuralError there, naming its
-least cut vertex, so no separate connectivity search runs first, and a
-graph is 3-connected exactly when its tree is one rigid node
-(:attr:`SpqrTree.triconnected`).  The merge pass contracts series-series
-and parallel-parallel links with one union-find pass, which gives the
-classical unique decomposition into series (cycle), parallel (edge
-bundle) and rigid (3-connected) nodes.  The numbering pass orders nodes
-and tree edges canonically and builds each node once, so the tree does not
-depend on the order in which the split met its components; it sorts each
-skeleton's edges once, and a parallel node's a second time by tree edge
-id.  A 2 x 5000 ladder builds in under a second on a 2-core virtual
-machine.
+a graph that is not biconnected raises NotBiconnectedError (a
+StructuralError) there, naming its least cut vertex, so no separate
+connectivity search runs first, and a graph is 3-connected exactly when its
+tree is one rigid node (:attr:`SpqrTree.triconnected`).  The numbering pass
+works on the split's edge ids: it kinds each component, contracts
+series-series and parallel-parallel links with one union-find, which gives
+the classical unique decomposition into series (cycle), parallel (edge
+bundle) and rigid (3-connected) nodes, orders nodes and tree edges
+canonically, so the tree does not depend on the order in which the split
+met its components, sorts each skeleton's edges once and builds each
+record once.  A 2 x 5000 ladder builds in under a second on a 2-core
+virtual machine.
+
+The records :class:`SkeletonEdge`, :class:`SpqrNode` and :class:`TreeEdge`
+are named tuples, so each compares equal to the plain tuple of its fields.
 
 :func:`verify_tree` checks a tree against its graph without the split: its
 rigid skeletons go to :func:`outerfan.graph.is_triconnected`, whose
@@ -38,10 +41,9 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass
-from operator import attrgetter
 from typing import NamedTuple
 
-from .errors import StructuralError
+from .errors import NotBiconnectedError, StructuralError
 from .graph import (
     Edge,
     Graph,
@@ -52,8 +54,7 @@ from .graph import (
 )
 
 
-@dataclass(frozen=True)
-class SkeletonEdge:
+class SkeletonEdge(NamedTuple):
     u: int
     v: int
     kind: str  # "real" or "virtual"
@@ -63,16 +64,14 @@ class SkeletonEdge:
         return norm_edge(self.u, self.v)
 
 
-@dataclass(frozen=True)
-class SpqrNode:
+class SpqrNode(NamedTuple):
     id: int
     kind: str  # "S", "P", "R", "Q"
     vertices: tuple[int, ...]
     edges: tuple[SkeletonEdge, ...]
 
 
-@dataclass(frozen=True)
-class TreeEdge:
+class TreeEdge(NamedTuple):
     id: int
     x: int
     y: int
@@ -92,30 +91,8 @@ class SpqrTree:
 
 
 # ---------------------------------------------------------------------------
-# Construction: split, merge, number
+# Construction: split, then number
 # ---------------------------------------------------------------------------
-
-
-class _MEdge:
-    """A skeleton edge under construction: ``pair`` is its normalized
-    endpoint pair.  A real edge carries link None until it gets a Q leaf; a
-    virtual edge carries the id of the link it shares with one other
-    skeleton."""
-
-    __slots__ = ("pair", "kind", "link")
-
-    def __init__(self, pair: Edge, kind: str, link: int | None):
-        self.pair, self.kind, self.link = pair, kind, link
-
-
-_pair_kind = attrgetter("pair", "kind")
-
-
-def _vertices(edges: list[_MEdge]) -> set[int]:
-    vs: set[int] = set()
-    for e in edges:
-        vs.update(e.pair)
-    return vs
 
 
 class _PalmTree(NamedTuple):
@@ -152,13 +129,13 @@ def _palm_tree(g: Graph) -> _PalmTree:
     entering each vertex.
 
     The first search also decides that g is biconnected, and raises
-    StructuralError if it is not: for fewer than three vertices, for a
+    NotBiconnectedError if it is not: for fewer than three vertices, for a
     search that misses a vertex, or naming the least cut vertex, which is
     the root if it has a second child, and otherwise a vertex p with a
     child w whose lowpt1 is not below p's number."""
     n = g.n
     if n < 3:
-        raise StructuralError(f"graph has {n} < 3 vertices")
+        raise NotBiconnectedError(f"graph has {n} < 3 vertices")
     cuts: list[int] = []
     num = [0] * n
     low1 = [0] * n
@@ -207,11 +184,11 @@ def _palm_tree(g: Graph) -> _PalmTree:
                 if low1[v] >= num[p] and p:
                     cuts.append(p)
     if count < n:
-        raise StructuralError("graph is not connected")
+        raise NotBiconnectedError("graph is not connected")
     if father.count(0) > 1:
         cuts.append(0)
     if cuts:
-        raise StructuralError(f"graph has a cut vertex: {min(cuts)}")
+        raise NotBiconnectedError(f"graph has a cut vertex: {min(cuts)}")
 
     m = len(src)
     buckets: list[list[int]] = [[] for _ in range(3 * n + 3)]
@@ -288,9 +265,10 @@ def _palm_tree(g: Graph) -> _PalmTree:
     )
 
 
-def _split(g: Graph) -> tuple[list[tuple[str, list[_MEdge]]], int]:
-    """Split a biconnected graph into its split components, each kinded;
-    returns them and the number of links (virtual edges) made.
+def _split(g: Graph) -> tuple[list[list[int]], list[Edge]]:
+    """Split a biconnected graph into its split components; returns them as
+    lists of edge ids, and the normalized endpoint pair of every edge id in
+    g's labels.
 
     Hopcroft and Tarjan's path search, with Gutwenger and Mutzel's
     corrections, over the palm tree of :func:`_palm_tree` and an explicit
@@ -513,37 +491,44 @@ def _split(g: Graph) -> tuple[list[tuple[str, list[_MEdge]]], int]:
             outv[v] -= 1
             nxt[v] = i + 1
     comps.append(estack)
+    ends = [(node[x], node[y]) if node[x] < node[y] else (node[y], node[x]) for x, y in zip(S, T)]
+    return comps, ends
 
+
+def build_spqr(g: Graph) -> SpqrTree:
+    """Unique SPQR tree of a biconnected graph, deterministic node order;
+    NotBiconnectedError if g is not biconnected (see :func:`_palm_tree`)."""
+    comps, ends = _split(g)
+    return _number(comps, ends, g.m)
+
+
+def _number(comps: list[list[int]], ends: list[Edge], m: int) -> SpqrTree:
+    """The tree of the split components ``comps``, lists of edge ids: ids
+    below m are the graph's edges, the others virtual edges, each of which
+    two components share; edge e joins the pair ``ends[e]``.
+
+    Each component is kinded and its vertices collected once.  Series-series
+    and parallel-parallel links are contracted by a union-find over the
+    components, found through an array indexed by edge id: a merged S stays
+    an S (two cycles make a cycle) and a merged P a P (two bonds a bond),
+    so no merge enables another.  The real edge of each parallel node then
+    gets a Q leaf, which shares that edge's id as its link.  Nodes are
+    ordered by their sorted vertices and kind, which no two nodes share,
+    and tree edges by their two nodes and poles, so the tree does not
+    depend on the order in which the split met its components.  Each
+    skeleton's edges are sorted once: a parallel node's real edge first,
+    then its virtual edges by tree edge id; any other node's by pair, which
+    no two of its edges share."""
     # a component is a bond if its edges share one pair, a cycle if it has
     # as many edges as vertices, and 3-connected otherwise
-    ends = [(node[x], node[y]) if node[x] < node[y] else (node[y], node[x]) for x, y in zip(S, T)]
-    skeletons = []
+    kinds = []
+    verts = []
     for comp in comps:
-        if len({ends[e] for e in comp}) == 1:
-            kind = "P"
-        else:
-            kind = "S" if len(comp) == len({S[e] for e in comp} | {T[e] for e in comp}) else "R"
-        edges = [
-            _MEdge(ends[e], "real", None) if e < m else _MEdge(ends[e], "virtual", e - m)
-            for e in comp
-        ]
-        skeletons.append((kind, edges))
-    return skeletons, len(S) - m
-
-
-def _merge_same_kind(
-    skeletons: list[tuple[str, list[_MEdge]]],
-) -> list[tuple[str, list[_MEdge]]]:
-    """Contract series-series and parallel-parallel links in one union-find
-    pass over the virtual links: a merged S stays an S (two cycles make a
-    cycle) and a merged P a P (two bonds a bond), so no merge enables
-    another."""
-    owners: dict[int, list[int]] = {}
-    for idx, (_kind, skel) in enumerate(skeletons):
-        for e in skel:
-            if e.kind == "virtual":
-                owners.setdefault(e.link, []).append(idx)
-    root = list(range(len(skeletons)))
+        pairs = {ends[e] for e in comp}
+        vs = set().union(*pairs)
+        kinds.append("P" if len(pairs) == 1 else "S" if len(comp) == len(vs) else "R")
+        verts.append(vs)
+    root = list(range(len(comps)))
 
     def find(x: int) -> int:
         while root[x] != x:
@@ -551,80 +536,68 @@ def _merge_same_kind(
             x = root[x]
         return x
 
-    contracted: set[int] = set()
-    for link, owner in owners.items():
-        if len(owner) != 2:
-            raise StructuralError(f"virtual pair {link} not shared by two nodes")
-        a, b = owner
-        if a == b:
-            raise StructuralError(f"virtual pair {link} inside one node")
-        if skeletons[a][0] == skeletons[b][0] in ("S", "P"):
-            root[find(b)] = find(a)
-            contracted.add(link)
-    merged: dict[int, tuple[str, list[_MEdge]]] = {}
-    for idx, (kind, skel) in enumerate(skeletons):
-        merged.setdefault(find(idx), (kind, []))[1].extend(
-            e for e in skel if e.link not in contracted
-        )
-    return list(merged.values())
+    shared = len(comps)  # owner of a virtual edge both of whose components are seen
+    owner = [-1] * len(ends)
+    contracted = set()
+    for c, comp in enumerate(comps):
+        for e in comp:
+            if e >= m:
+                d = owner[e]
+                owner[e] = shared if d >= 0 else c
+                if d == c or d == shared:
+                    raise StructuralError(f"virtual pair {e - m} not shared by two nodes")
+                if d >= 0 and kinds[c] == kinds[d] != "R":
+                    root[find(c)] = find(d)
+                    contracted.add(e)
+    if owner.count(shared) != len(ends) - m:
+        raise StructuralError("dangling virtual pair after the split")
 
+    merged: dict[int, tuple[str, set[int], list[int]]] = {}
+    for c, comp in enumerate(comps):
+        r = find(c)
+        if r not in merged:
+            merged[r] = (kinds[c], verts[c], comp)
+        else:
+            merged[r][1].update(verts[c])
+            merged[r][2].extend(comp)
+    nodes = []
+    for kind, vs, edges in merged.values():
+        if contracted:
+            edges = [e for e in edges if e not in contracted]
+        vs = sorted(vs)
+        nodes.append((vs, kind, edges))
+        if kind == "P":
+            nodes += [(vs, "Q", [e]) for e in edges if e < m]
+    nodes.sort(key=lambda node: node[:2])
 
-def build_spqr(g: Graph) -> SpqrTree:
-    """Unique SPQR tree of a biconnected graph, deterministic node order;
-    StructuralError if g is not biconnected (see :func:`_palm_tree`)."""
-    skeletons, links = _split(g)
-    return _number(_merge_same_kind(skeletons), links)
-
-
-def _number(record: list[tuple[str, list[_MEdge]]], links: int) -> SpqrTree:
-    """The tree of the merged skeletons, each node built once with its final
-    tree edge ids; links up to ``links`` are in use.
-
-    Each skeleton's edges are sorted once, by pair and kind, and that one
-    order serves both the node key and the output.  Only in a parallel
-    node do two edges share a pair and kind; its edges are sorted again by
-    kind and tree edge id once the ids are known."""
-    # materialize Q leaves for the real edge of each parallel skeleton
-    q_edges = [e for kind, skel in record if kind == "P" for e in skel if e.kind == "real"]
-    for link, e in enumerate(q_edges, links):
-        e.link = link
-        record.append(("Q", [_MEdge(e.pair, "real", link)]))
-
-    # deterministic ordering: nodes by their sorted vertices, then shape;
-    # tree edges by their two nodes and poles
-    keyed = []
-    for kind, skel in record:
-        skel.sort(key=_pair_kind)
-        keyed.append(((sorted(_vertices(skel)), kind, list(map(_pair_kind, skel))), kind, skel))
-    keyed.sort(key=lambda item: item[0])
-    ends: dict[int, list[tuple[int, Edge]]] = {}
-    for nid, (_key, _kind, skel) in enumerate(keyed):
-        for e in skel:
-            if e.link is not None:
-                ends.setdefault(e.link, []).append((nid, e.pair))
+    # a link is a virtual edge, or a real edge of a parallel node and its Q leaf
+    first = [-1] * len(ends)
     spans = []
-    for link, owner in ends.items():
-        if len(owner) != 2:
-            raise StructuralError("dangling virtual pair after assembly")
-        (x, pu), (y, pv) = owner
-        if pu != pv:
-            raise StructuralError("paired skeleton edges disagree on endpoints")
-        spans.append((x, y, pu, link))
+    for nid, (_vs, kind, edges) in enumerate(nodes):
+        linked = kind == "P" or kind == "Q"
+        for e in edges:
+            if e >= m or linked:
+                x = first[e]
+                if x < 0:
+                    first[e] = nid
+                else:
+                    spans.append((x, nid, ends[e], e))
     spans.sort()
-    tid = {link: i for i, (_x, _y, _p, link) in enumerate(spans)}
-    for _key, kind, skel in keyed:
-        if kind == "P":  # every link of a parallel node is a tree edge
-            skel.sort(key=lambda e: (e.kind, tid[e.link]))
-    nodes = tuple(
-        SpqrNode(
-            nid,
-            kind,
-            tuple(key[0]),
-            tuple(SkeletonEdge(*e.pair, e.kind, tid.get(e.link)) for e in skel),
+    tid: list[int | None] = [None] * len(ends)
+    for i, span in enumerate(spans):
+        tid[span[3]] = i
+    out = []
+    for nid, (vs, kind, edges) in enumerate(nodes):
+        if kind == "P":
+            edges.sort(key=lambda e: (e >= m, tid[e]))
+        else:
+            edges.sort(key=ends.__getitem__)
+        skeleton = tuple(
+            SkeletonEdge(*ends[e], "real" if e < m else "virtual", tid[e]) for e in edges
         )
-        for nid, (key, kind, skel) in enumerate(keyed)
-    )
-    return SpqrTree(nodes, tuple(TreeEdge(i, x, y, *p) for i, (x, y, p, _) in enumerate(spans)))
+        out.append(SpqrNode(nid, kind, tuple(vs), skeleton))
+    tree_edges = tuple(TreeEdge(i, x, y, *p) for i, (x, y, p, _) in enumerate(spans))
+    return SpqrTree(tuple(out), tree_edges)
 
 
 # ---------------------------------------------------------------------------

@@ -47,6 +47,7 @@ from outerfan.sweep import (
 )
 from test_acceptance import oracle_completion
 from test_circular import arc_walk_fan_planar_edges, arc_walk_slot_is_fan_planar
+from test_digests import load_script as load_digest_script
 from test_graph import add_edge, degree3_k4_vertices, remove_vertex
 from test_spqr import bundle, cycle_plus_chords, piece, two_sum
 
@@ -435,9 +436,9 @@ class TestGrownFamily:
                 assert got == reference_grown_graph(n, random.Random(seed)).edge_list()
 
     def test_recognition_searches_no_pair(self, monkeypatch):
-        # a grown graph is a 3-tree, so the SPQR split's pair search takes
-        # the certificate: the lowpoint search runs for biconnectivity, never
-        # once per deleted vertex
+        # a grown graph is a 3-tree, so its peel is the certificate: no
+        # lowpoint search runs, neither for biconnectivity nor once per
+        # deleted vertex
         skips = []
         search = graph._pieces_left
 
@@ -449,7 +450,7 @@ class TestGrownFamily:
         monkeypatch.setattr(graph, "_pieces_left", counting)
         out = recognize(g)
         assert out.accepted and out.path == "peel"
-        assert skips and set(skips) == {-1}
+        assert skips == []
 
 
 def reference_grown_graph(n, rng):
@@ -486,7 +487,8 @@ def test_recognize_builds_one_tree_and_tests_no_triconnectivity(monkeypatch):
     """Every biconnected input costs one SPQR build and no separate
     3-connectivity test, except a 3-tree, which costs one peel and no build;
     a 3-connected input with 3n - 6 edges is peeled once whatever its path;
-    3-connected inputs leave no SPQR trace line."""
+    3-connected inputs leave no SPQR trace line.  An input that is not
+    biconnected costs one build, whose first search rejects it."""
     real_build, real_tri = spqr.build_spqr, graph.is_triconnected
     real_peel = graph.peel_degree3_k4
     calls = {"build_spqr": 0, "is_triconnected": 0, "peel": 0}
@@ -538,14 +540,14 @@ def test_recognize_builds_one_tree_and_tests_no_triconnectivity(monkeypatch):
 
     calls.update(build_spqr=0, is_triconnected=0, peel=0)
     recognize(path_graph(5))
-    assert calls == {"build_spqr": 0, "is_triconnected": 0, "peel": 0}
+    assert calls == {"build_spqr": 1, "is_triconnected": 0, "peel": 0}
 
 
 def test_connectivity_is_decided_once(monkeypatch):
-    """A tree-path input costs ``recognize`` one lowpoint search, its
-    biconnectivity gate: the SPQR build checks its own precondition.
-    ``recognize_3connected`` decides its gate as ``is_triconnected`` does
-    without calling it, and peels at most once."""
+    """A tree-path input costs ``recognize`` no lowpoint search of
+    :mod:`outerfan.graph`: the SPQR build decides biconnectivity in its own
+    first search.  ``recognize_3connected`` decides its gate as
+    ``is_triconnected`` does without calling it, and peels at most once."""
     real_pieces, real_tri = graph._pieces_left, graph.is_triconnected
     real_peel = graph.peel_degree3_k4
     calls = {"pieces": 0, "is_triconnected": 0, "peel": 0}
@@ -575,7 +577,7 @@ def test_connectivity_is_decided_once(monkeypatch):
     for g in tree_path:
         calls["pieces"] = 0
         recognize(g)
-        assert calls["pieces"] == 1, g.edge_list()
+        assert calls["pieces"] == 0, g.edge_list()
 
     wheel = build_graph(7, [(0, i) for i in range(1, 7)] + [(i, i % 6 + 1) for i in range(1, 7)])
     inputs = biconnected + [wheel, remark6_graph(), complete_graph(4), complete_graph(5)]
@@ -596,6 +598,53 @@ def test_connectivity_is_decided_once(monkeypatch):
         assert calls["is_triconnected"] == 0, g.edge_list()
         assert calls["peel"] <= 1, g.edge_list()
     assert 10 <= raised <= len(inputs) - 10
+
+
+def test_recognize_decides_biconnectivity_in_the_build(monkeypatch):
+    """``recognize`` calls no ``is_biconnected``: a cycle-plus-chords graph
+    costs exactly one palm-tree search, the SPQR build's, and a 3-tree
+    none."""
+    real_palm = spqr._palm_tree
+    searched = []
+
+    def counting_palm(g):
+        searched.append(g)
+        return real_palm(g)
+
+    def no_gate(g):
+        raise AssertionError("is_biconnected ran")
+
+    monkeypatch.setattr(spqr, "_palm_tree", counting_palm)
+    monkeypatch.setattr(graph, "is_biconnected", no_gate)
+    assert not hasattr(recognizer, "is_biconnected")
+    rng = random.Random(2101)
+    for n in (10, 25, 50):
+        g = cycle_plus_chords(n, rng)
+        searched.clear()
+        assert recognize(g).verdict is not Verdict.REJECTED_NOT_BICONNECTED
+        assert searched == [g]
+    for n in (6, 12, 24):
+        searched.clear()
+        assert recognize(grown_graph(n, rng)).accepted
+        assert searched == []
+
+
+def test_not_biconnected_verdict_matches_is_biconnected():
+    """``recognize`` rejects a graph as not biconnected, for that reason,
+    exactly when ``is_biconnected`` says it is not: on every labeled graph
+    with at most five vertices and on the cut-vertex corpus of
+    ``scripts/outcome_digest.py``."""
+    graphs = [g for n in range(6) for g in all_graphs(n)]
+    graphs += load_digest_script().cut_corpus()
+    rejected = 0
+    for g in graphs:
+        out = recognize(g)
+        gate = out.verdict is Verdict.REJECTED_NOT_BICONNECTED
+        assert gate == (not graph.is_biconnected(g)), g.edge_list()
+        if gate:
+            assert out.reason == "graph is not biconnected"
+            rejected += 1
+    assert len(graphs) - rejected >= 200 and rejected >= 1000
 
 
 def test_recognize_dispatches_as_the_tree_path():

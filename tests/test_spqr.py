@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import random
 import re
@@ -10,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from outerfan import graph, spqr
+from outerfan import graph
 from outerfan.errors import StructuralError
 from outerfan.graph import (
     build_graph,
@@ -29,8 +28,6 @@ from outerfan.spqr import (
     SpqrNode,
     SpqrTree,
     TreeEdge,
-    _merge_same_kind,
-    _MEdge,
     _number,
     _split,
     build_spqr,
@@ -326,6 +323,22 @@ def test_split_parts_gain_no_separating_pair():
 # ---------------------------------------------------------------------------
 
 
+class _MEdge:
+    """A skeleton edge under construction: ``pair`` is its normalized
+    endpoint pair.  A real edge carries link None until it gets a Q leaf; a
+    virtual edge carries the id of the link it shares with one other
+    skeleton."""
+
+    __slots__ = ("pair", "kind", "link")
+
+    def __init__(self, pair, kind, link):
+        self.pair, self.kind, self.link = pair, kind, link
+
+
+def vertices(edges):
+    return {x for e in edges for x in e.pair}
+
+
 class ReferenceDecomposition:
     def __init__(self) -> None:
         self.skeletons: list[tuple[str, list[_MEdge]]] = []
@@ -417,7 +430,7 @@ def reference_number(record, links):
         record.append(("Q", [_MEdge(e.pair, "real", link)]))
     keyed = []
     for kind, skel in record:
-        vs = sorted(spqr._vertices(skel))
+        vs = sorted(vertices(skel))
         keyed.append(((vs[0], vs, kind, sorted((e.pair, e.kind) for e in skel)), kind, skel))
     keyed.sort(key=lambda item: item[0])
     ends = {}
@@ -558,25 +571,41 @@ def test_builder_matches_the_recursive_reference():
     assert min(wide.values()) >= 20
 
 
-def copied(record):
-    return [(kind, [_MEdge(e.pair, e.kind, e.link) for e in skel]) for kind, skel in record]
+def kinded(comps, ends, m):
+    """The split's components as the references take them: edges below m
+    real, the others virtual with link e - m; a component on two vertices a
+    bond, a cycle a series node, any other rigid."""
+    skeletons = []
+    for comp in comps:
+        edges = [
+            _MEdge(ends[e], "real", None) if e < m else _MEdge(ends[e], "virtual", e - m)
+            for e in comp
+        ]
+        adj = {}
+        for e in edges:
+            u, v = e.pair
+            adj.setdefault(u, set()).add(v)
+            adj.setdefault(v, set()).add(u)
+        kind = "P" if len(adj) == 2 else "S" if is_cycle(edges, adj) else "R"
+        skeletons.append((kind, edges))
+    return skeletons
 
 
 def test_number_matches_the_double_sort_reference():
-    """The numbering pass, which sorts each skeleton once, gives the tree
-    that the double-sort reference gives on the merged skeletons of every
-    family, with the skeletons and their edges handed to both in the same
-    shuffled order."""
+    """The numbering pass, which merges, orders and sorts each skeleton
+    once over edge ids, gives the tree that the restart-loop merge and the
+    double-sort reference give on the split's components of every family,
+    with the components and their edges handed over in shuffled order."""
     rng = random.Random(1019)
     wide = 0  # parallel nodes with three or more virtual edges
     for g in chain.from_iterable(families(rng).values()):
-        skeletons, links = _split(g)
-        record = _merge_same_kind(skeletons)
-        rng.shuffle(record)
-        for _kind, skel in record:
-            rng.shuffle(skel)
-        t = _number(copied(record), links)
-        assert t == reference_number(copied(record), links)
+        comps, ends = _split(g)
+        rng.shuffle(comps)
+        for comp in comps:
+            rng.shuffle(comp)
+        expected = reference_number(reference_merge(kinded(comps, ends, g.m)), len(ends) - g.m)
+        t = _number(comps, ends, g.m)
+        assert t == expected
         assert t == build_spqr(g)
         wide += sum(
             n.kind == "P" and sum(e.kind == "virtual" for e in n.edges) >= 3 for n in t.nodes
@@ -682,7 +711,7 @@ def corrupted(t, rng):
     else:
         vs.append(other)
     nodes = list(t.nodes)
-    nodes[node.id] = dataclasses.replace(node, vertices=tuple(vs))
+    nodes[node.id] = node._replace(vertices=tuple(vs))
     return SpqrTree(tuple(nodes), t.tree_edges)
 
 
@@ -759,9 +788,9 @@ def relinked(t, rng):
     node = rng.choice([n for n in t.nodes if any(e.link is not None for e in n.edges)])
     k = rng.choice([k for k, e in enumerate(node.edges) if e.link is not None])
     edges = list(node.edges)
-    edges[k] = dataclasses.replace(edges[k], link=rng.randrange(len(t.tree_edges) + 1))
+    edges[k] = edges[k]._replace(link=rng.randrange(len(t.tree_edges) + 1))
     nodes = list(t.nodes)
-    nodes[node.id] = dataclasses.replace(node, edges=tuple(edges))
+    nodes[node.id] = node._replace(edges=tuple(edges))
     return SpqrTree(tuple(nodes), t.tree_edges)
 
 
