@@ -27,6 +27,9 @@ and the recognizer's 3-tree test, whose peel it goes on to reinsert.
 
 The on-disk format for graphs is a plain edge list: a header line ``n m``
 followed by ``m`` lines ``u v`` with 0-based ids.  ``#`` starts a comment.
+A header declaring more than :data:`MAX_FILE_VERTICES` vertices is an
+input error, so that a few bytes of header cannot ask for gigabytes of
+adjacency sets.
 """
 
 from __future__ import annotations
@@ -40,6 +43,8 @@ from typing import Collection, Iterable, Iterator, Mapping, Sequence
 from .errors import GraphInputError
 
 Edge = tuple[int, int]
+
+MAX_FILE_VERTICES = 1 << 20  # vertices an edge-list file may declare
 
 
 def norm_edge(u: int, v: int) -> Edge:
@@ -344,6 +349,10 @@ def parse_edge_list(text: str) -> Graph:
         n, m = int(header[0]), int(header[1])
     except ValueError as exc:
         raise GraphInputError(f"line {lineno}: bad header: {exc}") from None
+    if n > MAX_FILE_VERTICES:
+        raise GraphInputError(
+            f"line {lineno}: header declares {n} vertices, above the cap {MAX_FILE_VERTICES}"
+        )
     if len(rows) - 1 != m:
         raise GraphInputError(
             f"header declares {m} edges but file has {len(rows) - 1} edge lines"

@@ -34,6 +34,11 @@ chunk's valid orders only.  The test
 suite checks the kernel against the readable checker in
 :mod:`outerfan.circular`, and maximality against one full scan per
 non-edge.
+
+The oracle is the package's only user of numpy, and it imports numpy inside
+the kernel functions rather than at module level.  Importing the package,
+the command line or the recognizer therefore does not load numpy; the first
+scan does, and every later import is a ``sys.modules`` lookup.
 """
 
 from __future__ import annotations
@@ -41,13 +46,14 @@ from __future__ import annotations
 from functools import cache, lru_cache, partial
 from itertools import islice, permutations
 from math import factorial
-from typing import Callable, Iterable, Iterator, NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, TypeAlias
 
 from .circular import CircularOrder, distinct_drawings
 from .errors import SizeLimitError
 from .graph import Graph
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_MAX_N = 12
 
@@ -68,6 +74,7 @@ def candidate_orders(n: int) -> Iterator[CircularOrder]:
 
 def _order_chunks(orders: Iterable[CircularOrder], n: int) -> Iterator[np.ndarray]:
     """Orders of n vertices as int8 rows, in chunks of up to ``_CHUNK``."""
+    import numpy as np
     orders = iter(orders)
     while block := list(islice(orders, _CHUNK)):
         yield np.array(block, dtype=np.int8).reshape(len(block), n)
@@ -100,6 +107,7 @@ class _Layout(NamedTuple):
 
 @lru_cache(maxsize=None)
 def _layout(n: int) -> _Layout:
+    import numpy as np
     a, b = np.triu_indices(n, 1)
     pid = np.zeros((n, n), dtype=np.intp)
     pid[a, b] = pid[b, a] = np.arange(len(a))
@@ -116,12 +124,14 @@ def _words(packed: np.ndarray) -> np.ndarray:
     """Packed bytes (last axis) as uint64 words, zero-padded.  Bitwise
     operations do not care, so bit i of the bytes, most significant bit
     first, stays order i."""
+    import numpy as np
     pad = [(0, 0)] * (packed.ndim - 1) + [(0, -packed.shape[-1] % 8)]
     return np.pad(packed, pad).view(np.uint64)
 
 
 def _full(k: int) -> np.ndarray:
     """The bitset of all k orders."""
+    import numpy as np
     bits = np.zeros(-(-k // 64), dtype=np.uint64)
     packed = bits.view(np.uint8)
     packed[: k // 8] = 0xFF
@@ -132,6 +142,7 @@ def _full(k: int) -> np.ndarray:
 
 def _indices(bits: np.ndarray, k: int) -> np.ndarray:
     """The set bits of a bitset over k orders."""
+    import numpy as np
     return np.flatnonzero(np.unpackbits(bits.view(np.uint8), count=k))
 
 
@@ -139,6 +150,7 @@ def _crossings(orders: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """The crossing table of the given rows over int8 order rows: per row,
     the bits of the orders in which its two chords cross.  A chord {c, d}
     crosses {a, b} when exactly one of c, d lies strictly between a and b."""
+    import numpy as np
     k, n = orders.shape
     lay = _layout(n)
     pos = np.empty((n, k), dtype=np.int8)
@@ -157,12 +169,14 @@ def _crossings(orders: np.ndarray, rows: np.ndarray) -> np.ndarray:
 def _stored_chunks(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     """Every canonical order of n vertices, chunked, each chunk with its
     crossing table over every row."""
+    import numpy as np
     rows = np.arange(len(_layout(n).lesser))
     return tuple((orders, _crossings(orders, rows)) for orders in _order_chunks(candidate_orders(n), n))
 
 
 def _edge_bits(g: Graph, lay: _Layout) -> np.ndarray:
     """One bool per vertex pair: whether it is an edge of g."""
+    import numpy as np
     edge = np.zeros(len(lay.a), dtype=bool)
     if g.m:
         us, vs = np.array(g.edge_list()).T
@@ -181,6 +195,7 @@ class _Extension(NamedTuple):
 
 
 def _extension(lay: _Layout, edge: np.ndarray) -> _Extension:
+    import numpy as np
     ex, ey, ez = edge[lay.x], edge[lay.y], edge[lay.z]
     # a non-edge h crossed by two disjoint edges (h = x), or crossing an
     # edge x that a third edge disjoint from h crosses too (h = y or z)
@@ -194,6 +209,7 @@ def _extension(lay: _Layout, edge: np.ndarray) -> _Extension:
 def _drop_crossed(table: np.ndarray, r1: np.ndarray, r2: np.ndarray, valid: np.ndarray) -> np.ndarray:
     """``valid`` less the orders in which the chords of some term's rows
     ``r1[i]`` and ``r2[i]`` both cross; stops once no order is left."""
+    import numpy as np
     step = max(1, _BATCH // table.shape[1])
     for i in range(0, len(r1), step):
         valid = valid & ~np.bitwise_or.reduce(table[r1[i : i + step]] & table[r2[i : i + step]], axis=0)
@@ -206,6 +222,7 @@ def _extendable(table: np.ndarray, x: _Extension, valid: np.ndarray) -> bool:
     """Whether some non-edge can be added to one of the ``valid`` orders
     with the drawing staying outer-fan-planar; ``x``'s rows index
     ``table``.  Only the words holding a valid order are read."""
+    import numpy as np
     live = np.flatnonzero(valid)
     crossed = np.zeros((x.non_edges, len(live)), dtype=np.uint64)
     step = max(1, _BATCH // max(len(live), 1))
@@ -233,11 +250,12 @@ def _extendable_among(orders: np.ndarray, valid: np.ndarray, extension: Callable
 
 def _compact(*rows: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     """The distinct rows used, and each array renumbered into them."""
+    import numpy as np
     used, inverse = np.unique(np.concatenate(rows), return_inverse=True)
     return used, np.split(inverse, np.cumsum([len(r) for r in rows[:-1]]))
 
 
-_Chunks = Iterator[tuple[np.ndarray, np.ndarray, Callable[[], bool]]]
+_Chunks: TypeAlias = "Iterator[tuple[np.ndarray, np.ndarray, Callable[[], bool]]]"
 
 
 def _valid_chunks(g: Graph) -> _Chunks:

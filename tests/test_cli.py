@@ -1,9 +1,21 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from outerfan.cli import main
-from outerfan.graph import complete_graph, cycle_graph, format_edge_list, path_graph
+from outerfan.graph import (
+    MAX_FILE_VERTICES,
+    complete_graph,
+    cycle_graph,
+    format_edge_list,
+    path_graph,
+)
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, argv):
@@ -190,6 +202,14 @@ class TestMalformedInput:
         assert code == 2
         assert "not UTF-8" in error
 
+    @pytest.mark.parametrize("n", [100_000_000, MAX_FILE_VERTICES + 1])
+    def test_vertex_count_above_the_cap(self, capsys, tmp_path, n):
+        big = tmp_path / "big.txt"
+        big.write_text(f"{n} 0\n")
+        code, error = self.error_of(capsys, ["recognize", str(big)])
+        assert code == 2
+        assert f"{n} vertices" in error
+
     def test_instance_not_utf8(self, capsys, tmp_path):
         inst = tmp_path / "inst.json"
         inst.write_bytes(b'{"n": \xff}')
@@ -199,3 +219,30 @@ class TestMalformedInput:
         code, error = self.error_of(capsys, argv)
         assert code == 2
         assert "not UTF-8" in error
+
+
+# Run in a fresh interpreter: the package, the CLI and a recognition leave
+# numpy unloaded, and the oracle's first scan loads it.
+NUMPY_PROBE = """
+import contextlib, io, json, sys
+import outerfan, outerfan.cli, outerfan.sweep
+from outerfan import oracle
+from outerfan.graph import complete_graph
+with contextlib.redirect_stdout(io.StringIO()):
+    code = outerfan.cli.main(["recognize", sys.argv[1]])
+before = "numpy" in sys.modules
+maximal = oracle.scan(complete_graph(5)).maximal
+print(json.dumps([code, before, maximal, "numpy" in sys.modules]))
+"""
+
+
+def test_numpy_loads_only_with_the_oracle(k5_file):
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    run = subprocess.run(
+        [sys.executable, "-c", NUMPY_PROBE, k5_file],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    code, numpy_before_scan, maximal, numpy_after_scan = json.loads(run.stdout)
+    assert code == 0
+    assert not numpy_before_scan
+    assert maximal and numpy_after_scan
