@@ -22,7 +22,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Collection, Mapping
+from itertools import permutations
+from typing import Collection, Iterator, Mapping, Sequence
 
 from .errors import GraphInputError
 from .graph import Edge, Graph, norm_edge
@@ -108,6 +109,15 @@ def crossing_lists(g: Graph, order: CircularOrder) -> dict[Edge, list[Edge]]:
     return lists
 
 
+def shared_endpoints(crossers: Sequence[Edge]) -> set[int]:
+    """The endpoints that all of ``crossers`` (at least one edge) share.  An
+    edge obeys the fan rule iff this is not empty, or it has one crosser."""
+    common = set(crossers[0])
+    for f in crossers[1:]:
+        common &= set(f)
+    return common
+
+
 def check_outer_fan_planar(g: Graph, order: CircularOrder) -> CrossingReport:
     """Fan-planarity check of a fixed circular order.
 
@@ -117,23 +127,10 @@ def check_outer_fan_planar(g: Graph, order: CircularOrder) -> CrossingReport:
     """
     _require_permutation(order, g.n)
     lists = crossing_lists(g, order)
-    verdict = True
-    first_violation: Edge | None = None
-    for e in g.edge_list():
-        crossers = lists[e]
-        if len(crossers) < 2:
-            continue
-        common = set(crossers[0])
-        for f in crossers[1:]:
-            common &= set(f)
-            if not common:
-                break
-        if not common:
-            verdict = False
-            first_violation = e
-            break
+    bad = (e for e in g.edge_list() if len(lists[e]) > 1 and not shared_endpoints(lists[e]))
+    first_violation = next(bad, None)
     return CrossingReport(
-        verdict=verdict,
+        verdict=first_violation is None,
         crossings={e: tuple(lst) for e, lst in lists.items()},
         first_violation=first_violation,
     )
@@ -223,17 +220,30 @@ def canonicalize(order: CircularOrder) -> CircularOrder:
     return min(forward, backward)
 
 
-def consecutive_run(pos: Mapping[int, int], vs: set[int]) -> int | None:
-    """Start position of a run of cyclically consecutive positions holding
-    exactly ``vs``, else None; 0 when ``vs`` is empty or the whole order.
-    ``pos`` maps each vertex of the order to its position."""
-    n = len(pos)
-    ps = sorted(pos[v] for v in vs)
-    # a position starts the run iff the one before it (cyclically) is not in vs
-    starts = [p for q, p in zip([ps[-1] - n, *ps], ps) if p - q != 1] if ps else []
-    if not starts:
+def candidate_orders(n: int) -> Iterator[CircularOrder]:
+    """All canonical circular orders of 0..n-1 (0 first, the second vertex
+    below the last) in lexicographic order, one per rotation-and-reflection class."""
+    if n <= 2:
+        yield tuple(range(n))
+        return
+    for perm in permutations(range(1, n)):
+        if perm[0] < perm[-1]:
+            yield (0, *perm)
+
+
+def consecutive_run(order: CircularOrder, vs: Collection[int]) -> int | None:
+    """Start position of a run of cyclically consecutive positions of
+    ``order`` holding exactly the vertices ``vs``, else None; 0 when ``vs``
+    is empty or the whole order."""
+    n = len(order)
+    ps = sorted(map(order.index, vs))
+    if not ps:
         return 0 if n else None
-    return starts[0] if len(starts) == 1 else None
+    if ps[-1] - ps[0] == len(ps) - 1:
+        return ps[0]
+    # otherwise the run wraps past position n - 1 and starts after its one gap
+    starts = [p for q, p in zip(ps, ps[1:]) if p - q != 1]
+    return starts[0] if len(starts) == 1 and ps[0] == 0 and ps[-1] == n - 1 else None
 
 
 def drawing_key(g: Graph, order: CircularOrder) -> tuple[Edge, ...]:

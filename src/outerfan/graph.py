@@ -1,11 +1,11 @@
 """Simple undirected graphs over dense integer vertex ids.
 
-Graphs are immutable values.  Every connectivity predicate here rests on two
-searches: a component search (``_reach``) and an iterative lowpoint
-depth-first search (``_pieces_left``, after Hopcroft and Tarjan, "Efficient
-algorithms for graph manipulation", CACM 1973), which gives, for every
-vertex at once, the number of pieces its deletion leaves of its component.
-One lowpoint search finds the cut vertices in O(n + m).  The
+Graphs are immutable values.  Every connectivity predicate here rests on one
+search: an iterative lowpoint depth-first search (``_pieces_left``, after
+Hopcroft and Tarjan, "Efficient algorithms for graph manipulation", CACM
+1973), which counts the components and gives, for every vertex at once, the
+number of pieces its deletion leaves of its component.  One lowpoint search
+decides connectivity and finds the cut vertices in O(n + m).  The
 separating-pair search (:func:`iter_separation_pairs`) runs one lowpoint
 search on G - u for each vertex u, in increasing order, and reads off every
 pair (u, v) whose removal disconnects G: O(n (n + m)) when no pair
@@ -15,8 +15,8 @@ needing only the first pair stops there.  It answers
 independently of the linear-time pass that builds them
 (:mod:`outerfan.spqr`); that pass decides biconnectivity and
 3-connectivity in its own search, so the recognizer runs no pair search.
-Both searches keep an explicit stack, so no input size can exhaust
-the interpreter's recursion limit.
+The search keeps an explicit stack, so no input size can exhaust the
+interpreter's recursion limit.
 
 One elimination (:func:`peel_degree3_k4`) removes degree-3 vertices of
 4-cliques, least first.  A graph on k >= 4 vertices and 3k - 6 edges that
@@ -29,7 +29,7 @@ The on-disk format for graphs is a plain edge list: a header line ``n m``
 followed by ``m`` lines ``u v`` with 0-based ids.  ``#`` starts a comment.
 A header declaring more than :data:`MAX_FILE_VERTICES` vertices is an
 input error, so that a few bytes of header cannot ask for gigabytes of
-adjacency sets.
+adjacency sets (:func:`cap_vertex_count`, which instance files share).
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from .errors import GraphInputError
 
 Edge = tuple[int, int]
 
-MAX_FILE_VERTICES = 1 << 20  # vertices an edge-list file may declare
+MAX_FILE_VERTICES = 1 << 20  # vertices an input file or a generated instance may have
 
 
 def norm_edge(u: int, v: int) -> Edge:
@@ -148,19 +148,6 @@ def dense_graph(
     """
     relabel = {old: new for new, old in enumerate(sorted(set(vertices)))}
     return build_graph(len(relabel), [(relabel[a], relabel[b]) for a, b in edges]), relabel
-
-
-def _reach(adj: Sequence[Iterable[int]], start: int, seen: set[int]) -> list[int]:
-    """Vertices reachable from ``start`` without entering ``seen``, in visiting
-    order; they are added to ``seen``."""
-    found = [start]
-    seen.add(start)
-    for x in found:
-        for y in adj[x]:
-            if y not in seen:
-                seen.add(y)
-                found.append(y)
-    return found
 
 
 def _pieces_left(
@@ -278,7 +265,7 @@ def iter_separation_pairs(adj: Mapping[int, Collection[int]]) -> Iterator[tuple[
 
 
 def is_connected(g: Graph) -> bool:
-    return g.n == 0 or len(_reach(g.adj, 0, set())) == g.n
+    return _connectivity(g)[0]
 
 
 def _connectivity(g: Graph) -> tuple[bool, list[int]]:
@@ -333,6 +320,12 @@ def is_triconnected(g: Graph) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def cap_vertex_count(n: int, what: str) -> None:
+    """Reject more than :data:`MAX_FILE_VERTICES` vertices; ``what`` begins the message."""
+    if n > MAX_FILE_VERTICES:
+        raise GraphInputError(f"{what} {n} vertices, above the cap {MAX_FILE_VERTICES}")
+
+
 def parse_edge_list(text: str) -> Graph:
     """Parse the ``n m`` / ``u v`` edge-list format; '#' starts a comment."""
     rows: list[tuple[int, list[str]]] = []
@@ -349,10 +342,7 @@ def parse_edge_list(text: str) -> Graph:
         n, m = int(header[0]), int(header[1])
     except ValueError as exc:
         raise GraphInputError(f"line {lineno}: bad header: {exc}") from None
-    if n > MAX_FILE_VERTICES:
-        raise GraphInputError(
-            f"line {lineno}: header declares {n} vertices, above the cap {MAX_FILE_VERTICES}"
-        )
+    cap_vertex_count(n, f"line {lineno}: header declares")
     if len(rows) - 1 != m:
         raise GraphInputError(
             f"header declares {m} edges but file has {len(rows) - 1} edge lines"

@@ -6,6 +6,8 @@ first position and keeping only orders whose second element is smaller than
 their last quotients out both symmetries, leaving (n-1)!/2 canonical
 candidates.  The oracle scans them all; the only shortcut taken is this
 symmetry quotient, so a negative answer really means no drawing exists.
+The candidates come from :func:`outerfan.circular.candidate_orders`, which
+the recognizer's base case filters too; a test may replace them here.
 
 A drawing is outer-fan-planar when every edge crossed more than once is
 crossed only by edges sharing one endpoint.  With the vertices on a circle
@@ -44,11 +46,11 @@ scan does, and every later import is a ``sys.modules`` lookup.
 from __future__ import annotations
 
 from functools import cache, lru_cache, partial
-from itertools import islice, permutations
+from itertools import islice
 from math import factorial
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, TypeAlias
 
-from .circular import CircularOrder, distinct_drawings
+from .circular import CircularOrder, candidate_orders, distinct_drawings
 from .errors import SizeLimitError
 from .graph import Graph
 
@@ -60,16 +62,6 @@ DEFAULT_MAX_N = 12
 _CHUNK = 20_000  # orders per batch
 _STORED_ORDERS = 200_000  # sizes with at most this many canonical orders keep their table
 _BATCH = 1 << 18  # table words gathered per step of terms
-
-
-def candidate_orders(n: int) -> Iterator[CircularOrder]:
-    """All canonical circular orders of 0..n-1 in lexicographic sequence."""
-    if n <= 2:
-        yield tuple(range(n))
-        return
-    for perm in permutations(range(1, n)):
-        if perm[0] < perm[-1]:
-            yield (0, *perm)
 
 
 def _order_chunks(orders: Iterable[CircularOrder], n: int) -> Iterator[np.ndarray]:

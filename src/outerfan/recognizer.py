@@ -62,12 +62,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import permutations
 
 from . import spqr
 from .circular import (
     CircularOrder,
+    candidate_orders,
     canonicalize,
+    consecutive_run,
     distinct_drawings,
     fan_planar_edges,
     positions,
@@ -78,6 +79,7 @@ from .graph import (
     Graph,
     Peel,
     build_graph,
+    complete_two_hop_graph,
     norm_edge,
     peel_degree3_k4,
     three_tree_peel,
@@ -177,15 +179,6 @@ def _finish(g: Graph, raw: _RawResult) -> RecognitionOutcome:
 # ---------------------------------------------------------------------------
 
 
-def _two_hop_edge_set(order: CircularOrder) -> frozenset[Edge]:
-    n = len(order)
-    edges = set()
-    for i in range(n):
-        edges.add(norm_edge(order[i], order[(i + 1) % n]))
-        edges.add(norm_edge(order[i], order[(i + 2) % n]))
-    return frozenset(edges)
-
-
 def is_complete_2hop(g: Graph) -> CompleteTwoHop | None:
     """Detect the cycle-plus-all-2-hops structure and return its drawings.
 
@@ -211,6 +204,7 @@ def is_complete_2hop(g: Graph) -> CompleteTwoHop | None:
         for v3 in sorted(g.adj[start] & g.adj[v2])
     ]
     seeds = seeds[:6]  # two seeds per cycle neighbor, one per 2-hop neighbor
+    template = complete_two_hop_graph(n).edges  # on positions, relabeled per order
     raw: list[CircularOrder] = []
     for v2, v3 in seeds:
         order = [start, v2, v3]
@@ -224,7 +218,7 @@ def is_complete_2hop(g: Graph) -> CompleteTwoHop | None:
             nxt = next(iter(cands))
             order.append(nxt)
             used.add(nxt)
-        if ok and g.edges == _two_hop_edge_set(tuple(order)):
+        if ok and g.edges == {norm_edge(order[a], order[b]) for a, b in template}:
             raw.append(tuple(order))
     if not raw:
         return None
@@ -287,21 +281,6 @@ def _insert_apexes(adj, apex: Apexes, v: int, m: int, z: int) -> Apexes | None:
     return entries
 
 
-def _run_start(order: CircularOrder, vs) -> int | None:
-    """Position of the first of three cyclically consecutive positions of
-    ``order`` that hold the three vertices ``vs``, else None."""
-    s = len(order)
-    a, b, c = sorted(order.index(u) for u in vs)
-    if c - a == 2:
-        return a
-    if a == 0 and c == s - 1:
-        if b == 1:
-            return c
-        if b == s - 2:
-            return b
-    return None
-
-
 def _reinsert_vertex(
     live: dict[CircularOrder, Apexes], adj, marks: set[Edge], v: int, nbrs
 ) -> dict[CircularOrder, Apexes]:
@@ -318,7 +297,7 @@ def _reinsert_vertex(
     new_live: dict[CircularOrder, Apexes] = {}
     for order, apex in live.items():
         s = len(order)
-        r = _run_start(order, nbrs)
+        r = consecutive_run(order, nbrs)
         if r is None:
             continue
         x, m, z = order[r], order[(r + 1) % s], order[(r + 2) % s]
@@ -481,16 +460,15 @@ def _recognize_3connected_raw(
         # maximal iff it is complete: the exhaustive oracle accepts K4 and
         # K5 and rejects the 25 other labeled 3-connected graphs on five
         # vertices (K5 minus an edge, and the wheels), as the tests check.
-        # The drawings are read off a scan of all canonical orders (0 first,
-        # second element below the last).
+        # The drawings are read off a scan of all canonical orders, the
+        # candidates the exhaustive oracle scans too.
         raw.path = "base"
         raw.trace.append("base case: exhaustive scan")
         if g.m != n * (n - 1) // 2:
             raw.verdict = Verdict.REJECTED_STRUCTURE
             raw.reason = "not maximal (exhaustive check)"
             return raw
-        canonical = [(0, *p) for p in permutations(range(1, n)) if p[0] < p[-1]]
-        orders = [o for o in canonical if _drawable(g, o, outer_required)]
+        orders = [o for o in candidate_orders(n) if _drawable(g, o, outer_required)]
         if not orders:
             raw.verdict = Verdict.REJECTED_NO_EMBEDDING
             raw.reason = "maximal, but no drawing places the required edges outside"
@@ -559,7 +537,7 @@ def _porous_in_drawing(
     pos = positions(order)
     u, v = outer_edge
     n = len(order)
-    if (pos[u] + 1) % n != pos[v] and (pos[v] + 1) % n != pos[u]:
+    if not _outer(pos, outer_edge):
         raise StructuralError(f"edge {outer_edge} is not outer in {order}")
     if around not in outer_edge:
         raise StructuralError(f"{around} is not an endpoint of {outer_edge}")
@@ -632,13 +610,9 @@ def _p_node_violation(g1: _SkelView, g2: _SkelView, s_t: Edge) -> str | None:
     """Porosity-based exclusion at a parallel node; returns a reason string
     if the two sides admit drawings that would leave an edge addable across
     the shared pole pair."""
-
-    def dense(view: _SkelView, vertex: int) -> int:
-        return view.to_orig.index(vertex)
-
     sides = []
     for view in (g1, g2):
-        s_d, t_d = dense(view, s_t[0]), dense(view, s_t[1])
+        s_d, t_d = view.to_orig.index(s_t[0]), view.to_orig.index(s_t[1])
         sides.append((view, norm_edge(s_d, t_d), s_d, t_d))
 
     # (a) the pole edge is porous around the same pole in both sides

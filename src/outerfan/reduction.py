@@ -28,8 +28,9 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path as FsPath
 
+from .circular import shared_endpoints
 from .errors import GraphInputError, StructuralError
-from .graph import Edge, Graph, build_graph, norm_edge, read_input
+from .graph import Edge, Graph, build_graph, cap_vertex_count, norm_edge, read_input
 
 
 @dataclass(frozen=True)
@@ -152,6 +153,11 @@ def generate_instance(tp: ThreePartitionInstance) -> ReductionInstance:
     beam_len = cols * big_k
     n_cells = 2 * m - 1
     path_len = (3 * m - 3) * big_k + big_b
+    # walls, beams, path interiors and floors; for m > 1 a column has 2m - 2
+    # floors, two beside its central cell and 2m - 4 between cells of size K
+    floors = 2 * (cols * (big_k - 2) + m * big_b) + cols * (2 * m - 4) * (2 * big_k - 2)
+    n = 10 + 2 * beam_len + m * (path_len - 1) + (floors if m > 1 else 0)
+    cap_vertex_count(n, "instance would have")
 
     ids: dict[str, list[int]] = {}
     next_id = 0
@@ -547,9 +553,7 @@ def validate_witness(inst: ReductionInstance, w: WitnessDrawing) -> ValidationRe
     for e, lst in cross.items():
         if len(lst) < 2:
             continue
-        common = set(lst[0])
-        for f in lst[1:]:
-            common &= set(f)
+        common = shared_endpoints(lst)
         if not common:
             violations.append(
                 Violation(
@@ -653,7 +657,7 @@ def _malformed(what: str):
         yield
     except GraphInputError:
         raise
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, RecursionError, TypeError, ValueError) as exc:
         raise GraphInputError(
             f"malformed {what} JSON: {type(exc).__name__}: {exc}"
         ) from None
@@ -662,6 +666,7 @@ def _malformed(what: str):
 def instance_from_json(text: str) -> ReductionInstance:
     with _malformed("instance"):
         payload = json.loads(text)
+        cap_vertex_count(payload["n"], "instance declares")
         graph = build_graph(payload["n"], [tuple(e) for e in payload["edges"]])
         roles = payload["roles"]
         gadgets = {

@@ -502,6 +502,14 @@ def build_spqr(g: Graph) -> SpqrTree:
     return _number(comps, ends, g.m)
 
 
+def _find(root, x: int) -> int:
+    """x's root in the union-find forest ``root`` (element to parent), halving paths."""
+    while root[x] != x:
+        root[x] = root[root[x]]
+        x = root[x]
+    return x
+
+
 def _number(comps: list[list[int]], ends: list[Edge], m: int) -> SpqrTree:
     """The tree of the split components ``comps``, lists of edge ids: ids
     below m are the graph's edges, the others virtual edges, each of which
@@ -529,13 +537,6 @@ def _number(comps: list[list[int]], ends: list[Edge], m: int) -> SpqrTree:
         kinds.append("P" if len(pairs) == 1 else "S" if len(comp) == len(vs) else "R")
         verts.append(vs)
     root = list(range(len(comps)))
-
-    def find(x: int) -> int:
-        while root[x] != x:
-            root[x] = root[root[x]]
-            x = root[x]
-        return x
-
     shared = len(comps)  # owner of a virtual edge both of whose components are seen
     owner = [-1] * len(ends)
     contracted = set()
@@ -547,14 +548,14 @@ def _number(comps: list[list[int]], ends: list[Edge], m: int) -> SpqrTree:
                 if d == c or d == shared:
                     raise StructuralError(f"virtual pair {e - m} not shared by two nodes")
                 if d >= 0 and kinds[c] == kinds[d] != "R":
-                    root[find(c)] = find(d)
+                    root[_find(root, c)] = _find(root, d)
                     contracted.add(e)
     if owner.count(shared) != len(ends) - m:
         raise StructuralError("dangling virtual pair after the split")
 
     merged: dict[int, tuple[str, set[int], list[int]]] = {}
     for c, comp in enumerate(comps):
-        r = find(c)
+        r = _find(root, c)
         if r not in merged:
             merged[r] = (kinds[c], verts[c], comp)
         else:
@@ -621,27 +622,20 @@ def reconstruct(t: SpqrTree) -> Graph:
             if e.link is not None:
                 carriers.setdefault(e.link, []).append((nid, k))
     dropped: set[tuple[int, int]] = set()
-
-    def find(x: int) -> int:
-        while membership[x] != x:
-            membership[x] = membership[membership[x]]
-            x = membership[x]
-        return x
-
     for te in t.tree_edges:
-        a, b = find(te.x), find(te.y)
+        a, b = _find(membership, te.x), _find(membership, te.y)
         if a == b:
             raise StructuralError("tree edge joins an already merged component")
         keep_a = kinds[te.x] == "Q"
         keep_b = kinds[te.y] == "Q"
         for nid, k in carriers.get(te.id, ()):
-            c = find(nid)
+            c = _find(membership, nid)
             if (c == a and not keep_a) or (c == b and not keep_b):
                 dropped.add((nid, k))
         membership[b] = a
         kinds[te.x] = kinds[te.y] = "merged"
 
-    roots = {find(n.id) for n in t.nodes}
+    roots = {_find(membership, n.id) for n in t.nodes}
     if len(roots) != 1:
         raise StructuralError("tree edges do not connect all nodes")
     edges = [

@@ -260,7 +260,7 @@ def _audit_order(g: Graph, order: tuple[int, ...]) -> list[dict]:
         deg3 = [v for v in quad if g.degree(v) == 3]
         if not deg3:
             continue
-        start = consecutive_run(pos, set(quad))
+        start = consecutive_run(order, quad)
         if start is None:
             issues.append({"kind": "degree3_k4_not_consecutive", "quad": quad})
             continue

@@ -298,7 +298,7 @@ def test_consecutive_run_matches_brute_force(data):
         vs = {order[(start + k) % n] for k in range(size)}
     else:
         vs = set(data.draw(st.lists(st.sampled_from(order), unique=True))) if n else set()
-    assert consecutive_run(positions(order), vs) == brute_consecutive_run(order, vs)
+    assert consecutive_run(order, vs) == brute_consecutive_run(order, vs)
 
 
 def arc_walk_fan_planar_edges(adj, order, pos, edges, crossed=None):

@@ -1,5 +1,6 @@
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -219,6 +220,57 @@ class TestMalformedInput:
         code, error = self.error_of(capsys, argv)
         assert code == 2
         assert "not UTF-8" in error
+
+    def test_deeply_nested_json(self, capsys, tmp_path):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 200_000 + "]" * 200_000)
+        inst = tmp_path / "inst.json"
+        main(["gen-3p", "--m", "1", "--B", "9", "--A", "3,3,3", "-o", str(inst)])
+        capsys.readouterr()
+        for argv, what in [
+            (["route-witness", "--instance", str(deep), "--triples", "0,1,2",
+              "-o", str(tmp_path / "w.json")], "instance"),
+            (["verify-witness", "--instance", str(inst), "--witness", str(deep)], "witness"),
+        ]:
+            code, error = self.error_of(capsys, argv)
+            assert code == 2
+            assert f"malformed {what} JSON: RecursionError" in error
+
+
+def limited_run(tmp_path, argv):
+    """Run the CLI in a fresh interpreter whose address space is capped at
+    1.5 GB, so that an unbounded allocation fails at once instead of taking
+    the machine's memory; returns the exit code and stderr."""
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1_500_000_000, 1_500_000_000))
+
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "outerfan.cli", *argv],
+        capture_output=True, text=True, env=env, cwd=tmp_path, preexec_fn=cap,
+    )
+    return proc.returncode, proc.stderr
+
+
+@pytest.mark.parametrize("command", ["verify-witness", "route-witness"])
+def test_instance_vertex_count_above_the_cap(tmp_path, command):
+    (tmp_path / "big.json").write_text(json.dumps({"n": 100_000_000, "edges": [], "roles": {}}))
+    (tmp_path / "w.json").write_text("{}")
+    extra = ["--witness", "w.json"] if command == "verify-witness" else [
+        "--triples", "0,1,2", "-o", "out.json"]
+    code, err = limited_run(tmp_path, [command, "--instance", "big.json", *extra])
+    assert code == 2, err
+    assert "100000000 vertices" in json.loads(err)["error"]
+
+
+def test_gen_3p_vertex_count_above_the_cap(tmp_path):
+    argv = ["gen-3p", "--m", "1", "--B", "1000000000",
+            "--A", "300000000,300000000,400000000", "-o", "x.json"]
+    code, err = limited_run(tmp_path, argv)
+    assert code == 2, err
+    assert "above the cap" in json.loads(err)["error"]
+    assert not (tmp_path / "x.json").exists()
 
 
 # Run in a fresh interpreter: the package, the CLI and a recognition leave

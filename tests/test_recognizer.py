@@ -851,7 +851,7 @@ def reference_reinsert(g, outer_required=frozenset()):
         new_live = set()
         for order in live:
             s = len(order)
-            r = consecutive_run(positions(order), set(nbrs))
+            r = consecutive_run(order, nbrs)
             if r is None:
                 continue
             for p in range(r, r + (3 if s == 3 else 2)):
@@ -916,7 +916,7 @@ def test_reinsertion_matches_the_arc_walk_loop(monkeypatch):
         to_orig = list(relabel)
         for order, apex in live.items():
             s = len(order)
-            r = consecutive_run(positions(order), set(nbrs))
+            r = consecutive_run(order, nbrs)
             if r is None:
                 continue
             for p in range(r, r + (3 if s == 3 else 2)):
