@@ -24,24 +24,15 @@ def main() -> int:
     parser.add_argument("--sizes", default="7,8", help="comma-separated sizes")
     parser.add_argument("--samples", type=int, default=10_000)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument(
-        "--skip-embeddings",
-        action="store_true",
-        help="compare verdicts only, not embedding sets",
-    )
     args = parser.parse_args()
 
     t0 = time.time()
-    exhaustive = run_exhaustive_sweep(
-        max_n=args.exhaustive_n,
-        compare_embeddings=not args.skip_embeddings,
-    )
+    exhaustive = run_exhaustive_sweep(max_n=args.exhaustive_n)
     sizes = tuple(int(x) for x in args.sizes.split(",") if x)
     randomized = run_random_sweep(
         sizes=sizes,
         samples_per_size=args.samples,
         seed=args.seed,
-        compare_embeddings=not args.skip_embeddings,
     )
     elapsed = time.time() - t0
 

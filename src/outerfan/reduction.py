@@ -14,10 +14,19 @@ central cells whose sizes sum to ``B``.
 
 The generator lays every gadget out in convex position on a flattened arc
 and derives each rotation from straight-segment directions, so the emitted
-rotation system is realized by an actual drawing.  Witness drawings are
-combinatorial: per-edge ordered crossing lists.  A valid witness routes
-path ``j`` through the cells matching one triple of a 3-Partition solution,
-each path edge crossing exactly one vertical edge.
+rotation system is realized by an actual drawing.  A floor's downward
+and upward verticals attach along its lower and upper arcs, which share
+only their ends, so the frame (gadget cycles, corner edges and verticals)
+is planar; a floor of fewer than five vertices is no barrier and is
+refused.  Witness drawings are combinatorial: per-edge ordered crossing
+lists.  A valid witness routes path ``j`` through the cells
+matching one triple of a 3-Partition solution, each path edge crossing
+exactly one vertical edge.
+
+An instance is fully determined by its 3-Partition input, so an instance
+file is loaded by regenerating the instance from its ``params`` (m, A, B)
+and comparing: a file that differs from that instance in any field, such
+as one written before the floor layout above, is an input error.
 """
 
 from __future__ import annotations
@@ -55,10 +64,10 @@ class ThreePartitionInstance:
                 f"values sum to {sum(self.values)}, expected m*B = {self.m * self.target}"
             )
         for a in self.values:
-            if not (self.target / 4 < a < self.target / 2):
+            if not (self.target < 4 * a and 2 * a < self.target):
                 raise GraphInputError(
                     f"value {a} outside the open range (B/4, B/2) = "
-                    f"({self.target / 4}, {self.target / 2})"
+                    f"({self.target}/4, {self.target}/2)"
                 )
 
 
@@ -88,10 +97,6 @@ class ReductionInstance:
     paths: list[tuple[int, ...]]  # full vertex sequences, u .. v
     u: int
     v: int
-
-    @property
-    def K(self) -> int:
-        return self.params["K"]
 
 
 @dataclass
@@ -125,23 +130,22 @@ def _cell_sizes(tp: ThreePartitionInstance, column: int) -> list[int]:
 
 
 def _big_k(target: int) -> int:
-    return math.ceil(target / 2) + 1
+    return (target + 1) // 2 + 1
 
 
 def _floor_up_slot(p: int, q: int, slot: int) -> int:
     """Cycle index of the floor vertex carrying upward vertical ``slot``.
 
-    A floor between cells of sizes p (below) and q (above) has p + q - 2
-    vertices: cycle indices 0..p-1 take the downward verticals left to
-    right, indices p-2..p+q-3 take the upward ones, so two vertices carry
-    one of each.  Upward slots are numbered left to right in the cell above.
+    A floor between cells of sizes p (below) and q (above) is a cycle of
+    s = p + q - 2 vertices, drawn as an ellipse with index 0 leftmost and
+    p - 1 rightmost.  Indices 0..p-1 run along the lower arc, left to right,
+    and take the downward verticals; the upward ones, numbered left to right
+    in the cell above, take index 0, then s - 1 down to p along the upper
+    arc, then p - 1.  So the two vertices carrying one vertical of each kind
+    are the two ends of the lower arc, and the verticals below and above
+    attach along two disjoint arcs, which keeps the frame planar.
     """
-    s = p + q - 2
-    if slot < q - 2:
-        return s - 1 - slot
-    if slot == q - 2:
-        return p - 2
-    return p - 1
+    return (p - 1 + q - 1 - slot) % (p + q - 2)
 
 
 def generate_instance(tp: ThreePartitionInstance) -> ReductionInstance:
@@ -158,6 +162,14 @@ def generate_instance(tp: ThreePartitionInstance) -> ReductionInstance:
     floors = 2 * (cols * (big_k - 2) + m * big_b) + cols * (2 * m - 4) * (2 * big_k - 2)
     n = 10 + 2 * beam_len + m * (path_len - 1) + (floors if m > 1 else 0)
     cap_vertex_count(n, "instance would have")
+    # the least floor lies beside the central cell of the least value; a
+    # cycle of fewer than five vertices has coinciding 2-hop chords
+    least_floor = big_k + min(tp.values) - 2
+    if m > 1 and least_floor < 5:
+        raise GraphInputError(
+            f"a floor beside a cell of {min(tp.values)} would have {least_floor} "
+            "vertices; a barrier needs at least 5"
+        )
 
     ids: dict[str, list[int]] = {}
     next_id = 0
@@ -335,12 +347,11 @@ def _build_rotation(tp, graph, paths, tb, bb, lw, rw, floors):
             cy = floor_y(k)
             for t, vid in enumerate(verts):
                 if t < p:
-                    # lower arc, left to right
-                    phi = math.pi + (t + 0.5) * math.pi / p
+                    # lower arc, left to right, both ends included
+                    phi = math.pi + t * math.pi / (p - 1)
                 else:
-                    # upper arc, right to left
-                    upper = s - p
-                    phi = ((t - p) + 0.5) * math.pi / max(upper, 1)
+                    # upper arc, right to left, strictly between the two
+                    phi = (t - p + 1) * math.pi / (s - p + 1)
                 coord[vid] = (
                     x_col(i) + 45.0 * math.cos(phi),
                     cy + 9.0 * math.sin(phi),
@@ -349,11 +360,7 @@ def _build_rotation(tp, graph, paths, tb, bb, lw, rw, floors):
     # path angles at the wall centers are assigned symbolically: path 0
     # leaves topmost; arrivals mirror them, which makes the cyclic order of
     # paths around one wall center the reverse of the other
-    rotation: list[tuple[int, ...]] = []
-    path_first = {p[1]: j for j, p in enumerate(paths)}
-    path_last = {p[-2]: j for j, p in enumerate(paths)}
     u, v = lw[2], rw[2]
-
     path_positions: dict[int, tuple[float, float]] = {}
     for j, p in enumerate(paths):
         lane = 20.0 - (40.0 * j / max(m - 1, 1) if m > 1 else 0.0)
@@ -362,6 +369,7 @@ def _build_rotation(tp, graph, paths, tb, bb, lw, rw, floors):
         path_positions[p[1]] = (ux + 60.0, uy + lane)
         path_positions[p[-2]] = (vx - 60.0, vy + lane)
 
+    rotation: list[tuple[int, ...]] = []
     for vid in range(graph.n):
         nbrs = graph.neighbors(vid)
         if vid not in coord:
@@ -371,16 +379,7 @@ def _build_rotation(tp, graph, paths, tb, bb, lw, rw, floors):
         x0, y0 = coord[vid]
         angled = []
         for idx, w in enumerate(sorted(nbrs)):
-            if w in coord:
-                x1, y1 = coord[w]
-            elif w in path_first and vid == u:
-                x1, y1 = path_positions[w]
-            elif w in path_last and vid == v:
-                x1, y1 = path_positions[w]
-            elif vid in coord and w in path_positions:
-                x1, y1 = path_positions[w]
-            else:
-                x1, y1 = x0 + 1.0, y0
+            x1, y1 = coord[w] if w in coord else path_positions[w]
             ang = math.atan2(y1 - y0, x1 - x0) % (2 * math.pi)
             angled.append((ang + idx * 1e-9, w))
         angled.sort()
@@ -626,8 +625,10 @@ def _parse_edge_key(key: str) -> Edge:
     return norm_edge(int(a), int(b))
 
 
-def instance_to_json(inst: ReductionInstance) -> str:
-    payload = {
+def _payload(inst: ReductionInstance) -> dict:
+    """The instance as JSON-ready data: what ``instance_to_json`` writes and
+    what ``instance_from_json`` compares a parsed file against."""
+    return {
         "n": inst.graph.n,
         "edges": [list(e) for e in inst.graph.edge_list()],
         "rotation": {str(v): list(r) for v, r in enumerate(inst.rotation)},
@@ -647,7 +648,10 @@ def instance_to_json(inst: ReductionInstance) -> str:
         },
         "params": inst.params,
     }
-    return json.dumps(payload, indent=1, sort_keys=True)
+
+
+def instance_to_json(inst: ReductionInstance) -> str:
+    return json.dumps(_payload(inst), indent=1, sort_keys=True)
 
 
 @contextmanager
@@ -664,32 +668,24 @@ def _malformed(what: str):
 
 
 def instance_from_json(text: str) -> ReductionInstance:
+    """The instance that a file's ``params`` generate, if the file holds
+    exactly that instance; any other file is a GraphInputError."""
     with _malformed("instance"):
         payload = json.loads(text)
         cap_vertex_count(payload["n"], "instance declares")
-        graph = build_graph(payload["n"], [tuple(e) for e in payload["edges"]])
-        roles = payload["roles"]
-        gadgets = {
-            name: GadgetInfo(name, tuple(cyc)) for name, cyc in roles["gadgets"].items()
-        }
-        cells = {}
-        for key, verts in roles["cells"].items():
-            i, j = key.split(",")
-            cells[(int(i), int(j))] = tuple(_parse_edge_key(e) for e in verts)
-        return ReductionInstance(
-            graph=graph,
-            rotation=tuple(
-                tuple(payload["rotation"][str(v)]) for v in range(payload["n"])
-            ),
-            params=payload["params"],
-            vertex_roles={int(v): r for v, r in roles["vertices"].items()},
-            edge_roles={_parse_edge_key(k): r for k, r in roles["edges"].items()},
-            gadgets=gadgets,
-            cells=cells,
-            paths=[tuple(p) for p in roles["paths"]],
-            u=roles["u"],
-            v=roles["v"],
+        params = payload["params"]
+        inst = generate_instance(
+            ThreePartitionInstance(params["m"], tuple(params["A"]), params["B"])
         )
+        expected = _payload(inst)
+        if payload != expected:
+            differ = sorted(k for k in payload.keys() | expected.keys()
+                            if payload.get(k) != expected.get(k))
+            raise GraphInputError(
+                "instance JSON differs from the instance its params generate "
+                f"in {', '.join(differ)}"
+            )
+    return inst
 
 
 def witness_to_json(w: WitnessDrawing) -> str:

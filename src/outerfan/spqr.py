@@ -623,6 +623,8 @@ def reconstruct(t: SpqrTree) -> Graph:
                 carriers.setdefault(e.link, []).append((nid, k))
     dropped: set[tuple[int, int]] = set()
     for te in t.tree_edges:
+        if te.x not in kinds or te.y not in kinds:
+            raise StructuralError(f"tree edge {te.id} names no node")
         a, b = _find(membership, te.x), _find(membership, te.y)
         if a == b:
             raise StructuralError("tree edge joins an already merged component")
@@ -673,14 +675,21 @@ def tree_to_json(t: SpqrTree) -> str:
 
 
 def verify_tree(t: SpqrTree, g: Graph) -> list[str]:
-    """All invariant violations of the tree against its graph (empty = ok)."""
+    """All invariant violations of the tree against its graph (empty = ok);
+    a tree edge naming no node, or a skeleton edge ending outside its node's
+    vertices, is one too, and the checks that would read it skip it."""
     issues: list[str] = []
     kinds = {n.id: n.kind for n in t.nodes}
 
     for node in t.nodes:
         pairs = [e.pair() for e in node.edges]
         vs = set(node.vertices)
-        if node.kind == "Q":
+        stray = {x for p in pairs for x in p} - vs
+        if stray:
+            issues.append(
+                f"node {node.id}: skeleton edges end at {sorted(stray)}, not its vertices"
+            )
+        elif node.kind == "Q":
             if len(node.edges) != 1 or node.edges[0].kind != "real":
                 issues.append(f"node {node.id}: Q skeleton is not a single real edge")
         elif node.kind == "P":
@@ -705,13 +714,19 @@ def verify_tree(t: SpqrTree, g: Graph) -> list[str]:
         else:
             issues.append(f"node {node.id}: unknown kind {node.kind}")
 
+    tree_edges = []
     for te in t.tree_edges:
+        named = te.x if te.x not in kinds else te.y
+        if named not in kinds:
+            issues.append(f"tree edge {te.id}: names no node {named}")
+            continue
+        tree_edges.append(te)
         kx, ky = kinds[te.x], kinds[te.y]
         if kx == ky and kx in ("S", "P"):
             issues.append(f"tree edge {te.id}: adjacent {kx} nodes")
 
     adj: dict[int, list[tuple[int, int]]] = {n.id: [] for n in t.nodes}
-    for te in t.tree_edges:
+    for te in tree_edges:
         adj[te.x].append((te.y, te.id))
         adj[te.y].append((te.x, te.id))
 
@@ -726,7 +741,7 @@ def verify_tree(t: SpqrTree, g: Graph) -> list[str]:
                     stack.append(y)
         return seen
 
-    spanning = True
+    spanning = len(tree_edges) == len(t.tree_edges)
     if len(t.nodes) > 1:
         if len(side(t.nodes[0].id, -1)) != len(t.nodes):
             issues.append("tree is not connected")
@@ -745,7 +760,7 @@ def verify_tree(t: SpqrTree, g: Graph) -> list[str]:
     # separation semantics: the two sides of each non-Q tree edge share only
     # the virtual pair's endpoints; a structure that is no tree, reported
     # above, is cut edge by edge
-    if spanning and t.tree_edges and len({te.id for te in t.tree_edges}) == len(t.tree_edges):
+    if spanning and tree_edges and len({te.id for te in tree_edges}) == len(tree_edges):
         shared_of = _shared_across_edges(t, adj).get
     else:
 
@@ -758,7 +773,7 @@ def verify_tree(t: SpqrTree, g: Graph) -> list[str]:
             shared = vs_a & vs_b
             return None if shared <= {te.u, te.v} else sorted(shared)
 
-    for te in t.tree_edges:
+    for te in tree_edges:
         if kinds[te.x] == "Q" or kinds[te.y] == "Q":
             continue
         shared = shared_of(te)

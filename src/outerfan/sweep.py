@@ -108,16 +108,8 @@ class SweepResult:
     density_violations: list[dict] = field(default_factory=list)
     spqr_failures: list[dict] = field(default_factory=list)
 
-    @property
-    def clean(self) -> bool:
-        return not self.disagreements
 
-
-def _check_one(
-    g: Graph,
-    result: SweepResult,
-    compare_embeddings: bool,
-) -> None:
+def _check_one(g: Graph, result: SweepResult) -> None:
     """Check one biconnected graph: one SPQR tree, one oracle scan."""
     result.graphs_checked += 1
     tree = spqr.build_spqr(g)
@@ -139,16 +131,15 @@ def _check_one(
         if g.n >= 4 and g.m > 5 * g.n - 10:
             result.density_violations.append({"edges": g.edge_list()})
     if outcome.accepted:
-        if compare_embeddings:
-            expected = circular.distinct_drawings(g, orders)
-            if tuple(outcome.embeddings) != expected:
-                result.embedding_mismatches.append(
-                    {
-                        "edges": g.edge_list(),
-                        "recognizer": outcome.embeddings,
-                        "oracle": expected,
-                    }
-                )
+        expected = circular.distinct_drawings(g, orders)
+        if tuple(outcome.embeddings) != expected:
+            result.embedding_mismatches.append(
+                {
+                    "edges": g.edge_list(),
+                    "recognizer": outcome.embeddings,
+                    "oracle": expected,
+                }
+            )
         result.accepted.append(
             AcceptedRecord(
                 edges=tuple(g.edge_list()),
@@ -166,15 +157,12 @@ def _check_one(
         result.spqr_failures.append({"edges": g.edge_list(), "issues": issues})
 
 
-def run_exhaustive_sweep(
-    max_n: int = 6,
-    compare_embeddings: bool = True,
-) -> SweepResult:
+def run_exhaustive_sweep(max_n: int = 6) -> SweepResult:
     """All labeled biconnected graphs with 3 <= n <= max_n."""
     result = SweepResult()
     for n in range(3, max_n + 1):
         for g in all_biconnected_graphs(n):
-            _check_one(g, result, compare_embeddings)
+            _check_one(g, result)
     return result
 
 
@@ -182,7 +170,6 @@ def run_random_sweep(
     sizes: tuple[int, ...] = (7, 8),
     samples_per_size: int = 10_000,
     seed: int = 0,
-    compare_embeddings: bool = False,
 ) -> SweepResult:
     """Seeded random biconnected graphs at each size."""
     result = SweepResult()
@@ -190,7 +177,7 @@ def run_random_sweep(
         rng = random.Random(seed * 1_000_003 + n)
         for _ in range(samples_per_size):
             g = sample_biconnected(n, rng)
-            _check_one(g, result, compare_embeddings)
+            _check_one(g, result)
     return result
 
 

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import resource
 import subprocess
 import sys
@@ -146,6 +147,14 @@ class TestReductionCommands:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("target, values", [("3", "1,1,1,1,1,1"), ("6", "2,2,2,2,2,2")])
+    def test_gen_refuses_floors_below_barrier_size(self, capsys, tmp_path, target, values):
+        out = tmp_path / "x.json"
+        code = main(["gen-3p", "--m", "2", "--B", target, "--A", values, "-o", str(out)])
+        assert code == 2
+        assert "a barrier needs at least 5" in json.loads(capsys.readouterr().err)["error"]
+        assert not out.exists()
+
 
 class TestMalformedInput:
     """Malformed flags and files exit 2 with a JSON error on stderr."""
@@ -221,6 +230,16 @@ class TestMalformedInput:
         assert code == 2
         assert "not UTF-8" in error
 
+    def test_gen_3p_target_too_large_for_a_float(self, capsys, tmp_path):
+        # validation and K are integer arithmetic, so the vertex cap answers
+        target = 10**400
+        a = target // 3 + 1
+        argv = ["gen-3p", "--m", "1", "--B", str(target), "--A", f"{a},{a},{target - 2 * a}",
+                "-o", str(tmp_path / "x.json")]
+        code, error = self.error_of(capsys, argv)
+        assert code == 2
+        assert "above the cap" in error
+
     def test_deeply_nested_json(self, capsys, tmp_path):
         deep = tmp_path / "deep.json"
         deep.write_text("[" * 200_000 + "]" * 200_000)
@@ -235,6 +254,89 @@ class TestMalformedInput:
             code, error = self.error_of(capsys, argv)
             assert code == 2
             assert f"malformed {what} JSON: RecursionError" in error
+
+
+class TestInstanceFuzz:
+    """Instance files mutated in their structure, through ``cli.main``: each
+    run exits 0, 1 or 2 and raises nothing, and a file that is not exactly
+    the instance its params generate exits 2."""
+
+    @pytest.fixture
+    def files(self, capsys, tmp_path):
+        inst, wit = tmp_path / "inst.json", tmp_path / "wit.json"
+        assert main(["gen-3p", "--m", "2", "--B", "10", "--A", "3,3,4,3,3,4",
+                     "-o", str(inst)]) == 0
+        assert main(["route-witness", "--instance", str(inst), "--triples", "0,1,2;3,4,5",
+                     "-o", str(wit)]) == 0
+        capsys.readouterr()
+        return json.loads(inst.read_text()), wit, tmp_path / "mutant.json"
+
+    @staticmethod
+    def codes(capsys, files, payload):
+        _, wit, mutant = files
+        mutant.write_text(json.dumps(payload))
+        out = []
+        for argv in (["verify-witness", "--instance", str(mutant), "--witness", str(wit)],
+                     ["route-witness", "--instance", str(mutant), "--triples", "0,1,2;3,4,5",
+                      "-o", str(mutant.with_suffix(".out"))]):
+            code = main(argv)
+            err = capsys.readouterr().err
+            if code == 2:
+                assert "error" in json.loads(err)
+            out.append(code)
+        return out
+
+    def test_seeded_structural_mutations(self, capsys, files):
+        payload = files[0]
+        text = json.dumps(payload)
+        rng = random.Random(26)
+        others = [None, True, 1.5, -1, "x", [], {}, [[]], {"0": 1}]
+        for _ in range(100):
+            doc = json.loads(text)
+            node = doc
+            while True:  # a random place, shallow ones more likely
+                keys = list(node) if isinstance(node, dict) else range(len(node))
+                key = rng.choice(keys)
+                child = node[key]
+                if not (isinstance(child, (dict, list)) and child and rng.random() < 0.6):
+                    break
+                node = child
+            kind = rng.choice(["drop", "retype", "rename"])
+            if kind == "drop":
+                del node[key]
+            elif kind == "retype":
+                node[key] = rng.choice([v for v in others if type(v) is not type(node[key])])
+            elif isinstance(node, dict):
+                node[key + "_"] = node.pop(key)
+            else:  # a list item has no key to rename: move it to the front
+                node.insert(0, node.pop(key))
+            assert set(self.codes(capsys, files, doc)) <= {0, 1, 2}
+        assert self.codes(capsys, files, payload) == [0, 0]
+
+    def test_mutants_that_crashed_or_passed_exit_2(self, capsys, files):
+        payload = files[0]
+        text = json.dumps(payload)
+
+        def mutant(change):
+            doc = json.loads(text)
+            change(doc)
+            return doc
+
+        def first_edge_role(doc):
+            doc["roles"]["edges"][next(iter(doc["roles"]["edges"]))] = []
+
+        def rename_cell(doc):
+            cells = doc["roles"]["cells"]
+            cells["0,9"] = cells.pop("0,0")
+
+        for change in (
+            lambda doc: doc.update(params=[]),
+            first_edge_role,
+            rename_cell,
+            lambda doc: doc["rotation"]["0"].reverse(),
+            lambda doc: doc["params"].update(A=[4, 3, 3, 4, 3, 3]),
+        ):
+            assert self.codes(capsys, files, mutant(change)) == [2, 2]
 
 
 def limited_run(tmp_path, argv):

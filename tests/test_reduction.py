@@ -1,5 +1,6 @@
 import dataclasses
 
+import networkx as nx
 import pytest
 
 from outerfan.errors import GraphInputError, StructuralError
@@ -302,3 +303,50 @@ class TestSerialization:
         again = witness_from_json(witness_to_json(fig_witness))
         nonempty = {e: lst for e, lst in fig_witness.crossings.items() if lst}
         assert again.crossings == nonempty
+
+
+# ---------------------------------------------------------------------------
+# The frame: gadget cycles, corner edges and verticals, which no witness
+# crosses, so they must be drawn without crossings
+# ---------------------------------------------------------------------------
+
+FRAME_CASES = [
+    ((3, 3, 3), 9, [(0, 1, 2)]),
+    ((3, 3, 4, 3, 3, 4), 10, [(0, 1, 2), (3, 4, 5)]),
+    (FIG_VALUES, 24, FIG_TRIPLES),
+]
+
+
+def frame_of(values, target):
+    inst = generate_instance(ThreePartitionInstance(len(values) // 3, values, target))
+    frame = nx.Graph(
+        e for e, role in inst.edge_roles.items()
+        if role["kind"] in ("cycle", "corner", "vertical")
+    )
+    return inst, frame
+
+
+@pytest.mark.parametrize("values, target, triples", FRAME_CASES, ids=["m1", "m2", "m3"])
+def test_frame_and_planarized_witness_are_planar(values, target, triples):
+    """The frame is planar, and so is the instance with each crossing of the
+    routed witness made a vertex, in list order along each edge."""
+    inst, frame = frame_of(values, target)
+    assert nx.check_planarity(frame)[0]
+    witness = route_witness(inst, triples)
+    planarized = nx.Graph()
+    for e in inst.graph.edge_list():
+        crossings = [("x", *sorted((e, f))) for f in witness.crossings.get(e, ())]
+        nx.add_path(planarized, [e[0], *crossings, e[1]])
+    assert nx.check_planarity(planarized)[0]
+
+
+@pytest.mark.parametrize("values, target, triples", FRAME_CASES, ids=["m1", "m2", "m3"])
+def test_frame_rotation_is_a_planar_embedding(values, target, triples):
+    """The instance's rotation system, restricted to the frame, passes
+    Euler's formula: the frame is drawn as the rotations prescribe."""
+    inst, frame = frame_of(values, target)
+    embedding = nx.PlanarEmbedding()
+    embedding.set_data(
+        {v: [w for w in reversed(inst.rotation[v]) if frame.has_edge(v, w)] for v in frame}
+    )
+    embedding.check_structure()

@@ -16,6 +16,7 @@ from outerfan.graph import (
     complete_graph,
     cut_vertices,
     cycle_graph,
+    glued_chain,
     is_biconnected,
     is_connected,
     is_triconnected,
@@ -742,6 +743,26 @@ def test_separation_check_matches_the_per_edge_walk():
             assert issues[len(issues) - len(expected) :] == expected
             flagged += bool(expected)
     assert flagged > 200
+
+
+def test_dangling_references_are_reported():
+    """A tree edge naming no node, and a skeleton edge ending outside its
+    node's vertices, are issues, not a KeyError."""
+    g = glued_chain(complete_graph(5), 2)
+    t = build_spqr(g)
+    dangling = SpqrTree(t.nodes, (t.tree_edges[0]._replace(y=99), *t.tree_edges[1:]))
+    assert "tree edge 0: names no node 99" in verify_tree(dangling, g)
+    with pytest.raises(StructuralError, match="names no node"):
+        reconstruct(dangling)
+    for g in (g, cycle_graph(6)):
+        t = build_spqr(g)
+        node = next(n for n in t.nodes if n.kind in "SR")
+        stray = max(node.vertices)
+        nodes = list(t.nodes)
+        nodes[node.id] = node._replace(vertices=node.vertices[:-1])
+        assert max(node.vertices) == node.vertices[-1]
+        issues = verify_tree(SpqrTree(tuple(nodes), t.tree_edges), g)
+        assert f"node {node.id}: skeleton edges end at [{stray}], not its vertices" in issues
 
 
 # ---------------------------------------------------------------------------
